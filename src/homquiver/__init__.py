@@ -40,7 +40,6 @@ from .cohomology import (
 )
 from .geometry import ParabolicGeometry, build_geometry
 from .levi import (
-    LeviModule,
     arrow_multiplicity,
     freudenthal,
     klimyk_tensor,
@@ -99,7 +98,6 @@ __all__ = [
     "h_graded",
     "ParabolicGeometry",
     "build_geometry",
-    "LeviModule",
     "arrow_multiplicity",
     "freudenthal",
     "klimyk_tensor",

@@ -33,14 +33,13 @@ class BottResult:
 SINGULAR = BottResult()
 
 
-def _sub_positive_roots(rs: RootSystem, indices: frozenset):
+@lru_cache(maxsize=None)
+def sub_positive_roots(rs: RootSystem, indices: frozenset) -> tuple:
+    """Positive roots of the sub-system spanned by the 1-based simple indices."""
     return tuple(
         r for r in rs.positive_roots
         if all(c == 0 or (j + 1) in indices for j, c in enumerate(r.simple))
     )
-
-
-_sub_positive_roots = lru_cache(maxsize=None)(_sub_positive_roots)
 
 
 def dominantize(rs: RootSystem, v: Weight, indices=None):
@@ -55,7 +54,7 @@ def dominantize(rs: RootSystem, v: Weight, indices=None):
     if indices is None:
         indices = range(1, rs.rank + 1)
     indices = tuple(sorted(set(indices)))
-    pos = _sub_positive_roots(rs, frozenset(indices))
+    pos = sub_positive_roots(rs, frozenset(indices))
     inners = [rs.inner(v, a) for a in pos]
     if any(c == 0 for c in inners):
         return None
@@ -68,7 +67,8 @@ def dominantize(rs: RootSystem, v: Weight, indices=None):
             break
         w = rs.simple_reflect(w, i)
         length += 1
-    assert length == negative_count, "reflection count disagrees with inversion count"
+    if length != negative_count:
+        raise AssertionError("reflection count disagrees with inversion count")
     return length, w
 
 
@@ -83,7 +83,8 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
         num *= rs.inner(shifted, alpha)
         den *= alpha.height  # (rho, alpha)
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise AssertionError("Weyl dimension formula gave a non-integer")
     return q
 
 

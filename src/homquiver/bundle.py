@@ -173,6 +173,21 @@ def check_relations(rep: QuiverRep) -> list:
     return violated
 
 
+def require_valid(rep: QuiverRep) -> None:
+    """The validation gate: structural checks, then relations on the Borel.
+
+    Raises ValueError listing the structural errors, or RelationError
+    carrying the violated relation instances.
+    """
+    errors = validate(rep)
+    if errors:
+        raise ValueError("; ".join(errors))
+    if rep.geometry.is_borel:
+        violated = check_relations(rep)
+        if violated:
+            raise RelationError(violated)
+
+
 def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     """Complete generating-arrow data to a full Borel representation.
 
@@ -310,19 +325,20 @@ def tangent(geom: ParabolicGeometry) -> QuiverRep:
 # ----- sub- and quotient representations ---------------------------------------
 
 
-def _span_dict(rep: QuiverRep, seeds) -> dict:
-    """Forward closure of the full seed spaces under arrow images."""
+def _seed_spans(rep: QuiverRep, seeds) -> dict:
+    """Full spaces at the seed vertices, zero spaces elsewhere."""
     seeds = {tuple(s) for s in seeds}
     if not seeds <= set(rep.support):
         raise ValueError("seed vertices must lie in the support")
-    spans = {
-        lam: (
-            [tuple(Matrix.identity(d).column(j)) for j in range(d)]
-            if lam in seeds
-            else []
-        )
+    return {
+        lam: Matrix.identity(d).columns() if lam in seeds else []
         for lam, d in rep.support.items()
     }
+
+
+def _span_dict(rep: QuiverRep, seeds) -> dict:
+    """Forward closure of the full seed spaces under arrow images."""
+    spans = _seed_spans(rep, seeds)
     changed = True
     while changed:
         changed = False
@@ -371,49 +387,32 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
     The kernel is computed as a backward fixpoint of arrow preimages; the
     quotient representation acts on complement coordinates.
     """
-    seeds = {tuple(s) for s in seeds}
-    if not seeds <= set(rep.support):
-        raise ValueError("seed vertices must lie in the support")
-    spans = {
-        lam: (
-            [tuple(Matrix.identity(d).column(j)) for j in range(d)]
-            if lam in seeds
-            else []
-        )
-        for lam, d in rep.support.items()
-    }
+    spans = _seed_spans(rep, seeds)
     changed = True
     while changed:
         changed = False
         for (src, root), mat in rep.arrows.items():
             tgt = tuple(a - b for a, b in zip(src, root.fund))
-            pre = preimage_basis(mat, spans[tgt])
             if not spans[src]:
                 continue
+            pre = preimage_basis(mat, spans[tgt])
             new = span_intersection(spans[src], pre, rep.support[src])
             if len(new) != len(spans[src]):
                 spans[src] = new
                 changed = True
-    # Quotient coordinates: extend each kernel basis by standard vectors.
+    # Quotient coordinates: extend each kernel basis by the standard
+    # vectors at the pivot columns of [kernel | I] past the kernel block.
     support = {}
     proj = {}
     sect = {}
-    kernels = {}
     for lam, d in rep.support.items():
-        kernel = spans[lam]
-        kernels[lam] = kernel
-        k = len(kernel)
+        cols = spans[lam]
+        k = len(cols)
         if k == d:
             continue
-        cols = [list(v) for v in kernel]
-        chosen = []
-        for j in range(d):
-            e = [Fraction(int(i == j)) for i in range(d)]
-            trial = Matrix.from_columns(cols + [e] + [list(c) for c in chosen], d)
-            if trial.rank() == len(cols) + len(chosen) + 1:
-                chosen.append(e)
-            if len(cols) + len(chosen) == d:
-                break
+        eye = Matrix.identity(d).columns()
+        pivots = Matrix.from_columns(cols + eye, d).rref()[1]
+        chosen = [eye[p - k] for p in pivots[k:]]
         full = Matrix.from_columns(cols + chosen, d)
         inv = solve_in_basis(full, Matrix.identity(d))
         support[lam] = d - k
@@ -425,9 +424,10 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
         tgt = tuple(a - b for a, b in zip(src, root.fund))
         if src not in support or tgt not in support:
             continue
-        if kernels[src]:
-            kb = Matrix.from_columns([list(v) for v in kernels[src]], mat.cols)
-            assert (proj[tgt] @ mat @ kb).is_zero(), "colon kernel is not arrow-invariant"
+        if spans[src]:
+            kb = Matrix.from_columns(spans[src], mat.cols)
+            if not (proj[tgt] @ mat @ kb).is_zero():
+                raise AssertionError("colon kernel is not arrow-invariant")
         arrows[(src, root)] = proj[tgt] @ mat @ sect[src]
     return QuiverRep(rep.geometry, support, arrows)
 
@@ -525,11 +525,13 @@ def gabriel_decompose(rep: QuiverRep) -> GabrielDecomposition:
     for i in range(m):
         for j in range(i, m):
             mult = r(i, j) - r(i - 1, j) - r(i, j + 1) + r(i - 1, j + 1)
-            assert mult >= 0
+            if mult < 0:
+                raise AssertionError("negative Gabriel multiplicity")
             if mult:
                 intervals.append(((i, j), mult))
     # The interval indicators must add up to the dimension vector.
     for p in range(m):
         total = sum(mult for (i, j), mult in intervals if i <= p <= j)
-        assert total == dims[p], "Gabriel multiplicities do not match dimensions"
+        if total != dims[p]:
+            raise AssertionError("Gabriel multiplicities do not match dimensions")
     return GabrielDecomposition(path, tuple(intervals))

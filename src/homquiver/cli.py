@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .bott import bott
-from .bundle import RelationError, cotangent, gabriel_decompose, solve_derived_arrows, tangent, validate
+from .bundle import RelationError, cotangent, gabriel_decompose, require_valid, solve_derived_arrows, tangent, validate
 from .bundleio import BundleFormatError, load_rep, rep_to_dict, save_rep
 from .cohomology import GModuleDecomposition, euler, h0, h_graded
 from .geometry import build_geometry
@@ -132,12 +132,8 @@ def _load_checked(path):
     rep = load_rep(path)
     errors = validate(rep)
     if errors:
-        raise _SemanticError("; ".join(errors))
+        raise ValueError("; ".join(errors))
     return rep
-
-
-class _SemanticError(Exception):
-    pass
 
 
 def _geometry(type_name, levi=()):
@@ -204,21 +200,9 @@ def _run(args, out) -> int:
         return 0
 
     if args.command == "check":
-        rep = _load_checked(args.file)
-        if rep.geometry.is_borel:
-            from .bundle import check_relations
-
-            violated = check_relations(rep)
-            if violated:
-                for inst in violated:
-                    print(
-                        f"violated: at ({_fmt_weight(inst.source)}) roots "
-                        f"({_fmt_weight(inst.beta.simple)}) ({_fmt_weight(inst.gamma.simple)}) "
-                        f"N={inst.coefficient}",
-                        file=sys.stderr,
-                    )
-                raise _SemanticError(f"{len(violated)} violated relation instance(s)")
-        else:
+        rep = load_rep(args.file)
+        require_valid(rep)
+        if not rep.geometry.is_borel:
             print(
                 "warning: non-Borel parabolic, relations unchecked",
                 file=sys.stderr,
@@ -279,8 +263,7 @@ def _run(args, out) -> int:
         return 0
 
     if args.command == "h0":
-        rep = _load_checked(args.file)
-        _print_decomposition(h0(rep), args.json, out)
+        _print_decomposition(h0(load_rep(args.file)), args.json, out)
         return 0
 
     if args.command == "hgr":
@@ -323,7 +306,7 @@ def main(argv=None, out=None) -> int:
             )
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
-    except (_SemanticError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bott import bott, weyl_dim
-from .bundle import QuiverRep, RelationError, check_relations, gabriel_decompose, is_am_type, validate
+from .bundle import QuiverRep, gabriel_decompose, is_am_type, require_valid
 from .linalg import Matrix
 from .rootsystem import Weight
 
@@ -142,15 +142,9 @@ def h0(rep: QuiverRep) -> GModuleDecomposition:
     relation set is unknown) and the caller vouches for validity, which
     the result records as a note.
     """
-    errors = validate(rep)
-    if errors:
-        raise ValueError("invalid representation: " + "; ".join(errors))
+    require_valid(rep)
     notes = ()
-    if rep.geometry.is_borel:
-        violated = check_relations(rep)
-        if violated:
-            raise RelationError(violated)
-    else:
+    if not rep.geometry.is_borel:
         notes = (
             "non-Borel parabolic: relations unchecked, representation validity "
             "is the caller's claim",
@@ -174,13 +168,7 @@ def h0_am(rep: QuiverRep) -> GModuleDecomposition:
     path = is_am_type(rep)
     if path is None:
         raise ValueError("not an A_m-type support")
-    errors = validate(rep)
-    if errors:
-        raise ValueError("invalid representation: " + "; ".join(errors))
-    if rep.geometry.is_borel:
-        violated = check_relations(rep)
-        if violated:
-            raise RelationError(violated)
+    require_valid(rep)
 
     mults = _section_multiplicities(rep)
 

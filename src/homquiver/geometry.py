@@ -36,13 +36,6 @@ class ParabolicGeometry:
     def rho_levi(self) -> Weight:
         return tuple(int(i + 1 in self.levi) for i in range(self.root_system.rank))
 
-    def levi_positive_roots(self) -> tuple:
-        levi = set(self.levi)
-        return tuple(
-            r for r in self.root_system.positive_roots
-            if all(c == 0 or (j + 1) in levi for j, c in enumerate(r.simple))
-        )
-
 
 @lru_cache(maxsize=None)
 def _build_geometry_cached(cartan_type: CartanType, levi: tuple) -> ParabolicGeometry:

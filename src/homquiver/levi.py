@@ -10,29 +10,12 @@ along unchanged: only Levi coordinates are ever reflected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bott import dominantize
+from .bott import dominantize, sub_positive_roots
 from .geometry import ParabolicGeometry
 from .rootsystem import Weight
-
-
-@dataclass(frozen=True)
-class LeviModule:
-    """Irreducible module of the Levi factor, identified by its highest weight."""
-
-    geometry: ParabolicGeometry
-    highest_weight: Weight
-
-    @property
-    def weight_multiplicities(self) -> dict:
-        return dict(freudenthal(self.geometry, self.highest_weight))
-
-    @property
-    def dim(self) -> int:
-        return levi_weyl_dim(self.geometry, self.highest_weight)
 
 
 def _require_p_dominant(geom: ParabolicGeometry, lam: Weight):
@@ -51,7 +34,7 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
     _require_p_dominant(geom, lam)
     rs = geom.root_system
     rho_l = geom.rho_levi
-    pos_l = geom.levi_positive_roots()
+    pos_l = sub_positive_roots(rs, frozenset(geom.levi))
     lam_shift = tuple(a + b for a, b in zip(lam, rho_l))
     top_norm = rs.weight_inner(lam_shift, lam_shift)
 
@@ -82,10 +65,12 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
             mu_shift = tuple(a + b for a, b in zip(mu, rho_l))
             den = top_norm - rs.weight_inner(mu_shift, mu_shift)
             if den <= 0:
-                assert num == 0, "Freudenthal denominator vanished on a weight"
+                if num != 0:
+                    raise AssertionError("Freudenthal denominator vanished on a weight")
                 continue
             m = 2 * num / den
-            assert m.denominator == 1 and m >= 0
+            if m.denominator != 1 or m < 0:
+                raise AssertionError(f"Freudenthal multiplicity {m} at {mu}")
             if m > 0:
                 mult[mu] = int(m)
                 nxt.append(mu)
@@ -101,11 +86,12 @@ def levi_weyl_dim(geom: ParabolicGeometry, lam: Weight) -> int:
     shifted = tuple(a + b for a, b in zip(lam, geom.rho_levi))
     num = 1
     den = 1
-    for alpha in geom.levi_positive_roots():
+    for alpha in sub_positive_roots(rs, frozenset(geom.levi)):
         num *= rs.inner(shifted, alpha)
         den *= rs.inner(geom.rho_levi, alpha)
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise AssertionError("Levi Weyl dimension formula gave a non-integer")
     return q
 
 
@@ -135,7 +121,8 @@ def klimyk_tensor(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> tuple:
     _require_p_dominant(geom, lam)
     _require_p_dominant(geom, mu)
     out = _klimyk_accumulate(geom, lam, freudenthal(geom, mu))
-    assert all(m > 0 for m in out.values()), "Klimyk produced a negative multiplicity"
+    if not all(m > 0 for m in out.values()):
+        raise AssertionError("Klimyk produced a negative multiplicity")
     return tuple(sorted(out.items()))
 
 
@@ -179,7 +166,8 @@ def nilradical_components(geom: ParabolicGeometry) -> tuple:
                 for li in geom.levi
             )
         ]
-        assert len(highs) == 1, "nilradical component has no unique highest root"
+        if len(highs) != 1:
+            raise AssertionError("nilradical component has no unique highest root")
         members.sort(key=lambda r: (r.height, r.simple))
         components.append((highs[0].fund, tuple(members)))
     components.sort()

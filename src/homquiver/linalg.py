@@ -2,9 +2,10 @@
 
 Everything downstream (relation checking, kernel dimensions, Gabriel
 decompositions) is decided by exact ranks and kernels, so no floating
-point is allowed anywhere.  Ranks are computed by fraction-free (Bareiss)
-elimination on integer-cleared rows; reduced row echelon forms use plain
-Fraction arithmetic.
+point is allowed anywhere.  Ranks, reduced row echelon forms, kernels
+and solves all come from one elimination kernel, ``Matrix._eliminate``:
+fraction-free Gauss-Jordan on integer-cleared rows, whose result is the
+unique reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -134,54 +135,47 @@ class Matrix:
             raise ValueError("column mismatch in vstack")
         return Matrix(self.data + other.data, self.rows + other.rows, self.cols)
 
-    def rank(self) -> int:
-        """Rank by fraction-free Bareiss elimination on integer-cleared rows."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
+    def _eliminate(self) -> tuple:
+        """The elimination kernel: fraction-free Gauss-Jordan (Bareiss).
+
+        Rows are cleared of denominators; each pivot column is then
+        cleared above and below its pivot, dividing exactly by the
+        previous pivot.  Returns ``(rows, den, pivots)``: the integer rows
+        divided by ``den`` are the reduced row echelon form.
+        """
         m = []
         for row in self.data:
-            den = lcm(*(x.denominator for x in row)) if row else 1
+            den = lcm(*(x.denominator for x in row))
             m.append([int(x * den) for x in row])
-        nrows, ncols = self.rows, self.cols
-        r = 0
+        pivots = []
         prev = 1
-        for col in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        for col in range(self.cols):
+            r = len(pivots)
+            if r == self.rows:
+                break
+            piv = next((i for i in range(r, self.rows) if m[i][col] != 0), None)
             if piv is None:
                 continue
             m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, nrows):
-                for j in range(col + 1, ncols):
-                    m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-                m[i][col] = 0
-            prev = m[r][col]
-            r += 1
-            if r == nrows:
-                break
-        return r
+            top = m[r]
+            p = top[col]
+            for i in range(self.rows):
+                if i != r:
+                    c = m[i][col]
+                    m[i] = [(p * a - c * b) // prev for a, b in zip(m[i], top)]
+            prev = p
+            pivots.append(col)
+        return m, prev, tuple(pivots)
+
+    def rank(self) -> int:
+        """Rank: the number of pivots of the elimination kernel."""
+        return len(self._eliminate()[2])
 
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row echelon form and the tuple of pivot column indices."""
-        m = [list(row) for row in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for col in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][col]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][col] != 0:
-                    c = m[i][col]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == nrows:
-                break
-        return Matrix(m, nrows, ncols), tuple(pivots)
+        m, den, pivots = self._eliminate()
+        red = [[Fraction(x, den) for x in row] for row in m]
+        return Matrix(red, self.rows, self.cols), pivots
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as column vectors (tuples of Fractions)."""
@@ -207,14 +201,6 @@ def row_space_basis(vectors, length: int) -> list:
         return []
     red, pivots = Matrix(vecs, len(vecs), length).rref()
     return [red.data[r] for r in range(len(pivots))]
-
-
-def span_contains(basis, vector) -> bool:
-    """Whether vector lies in the span of basis (all of common length)."""
-    n = len(vector)
-    before = len(row_space_basis(basis, n))
-    after = len(row_space_basis(list(basis) + [vector], n))
-    return before == after
 
 
 def span_intersection(basis_a, basis_b, length: int) -> list:

@@ -1,7 +1,12 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import homquiver
 from homquiver import (
     QuiverRep,
     RelationError,
@@ -251,6 +256,33 @@ def test_gabriel_zero_arrow_splits():
     rep = QuiverRep(g, {(1,): 1, (-1,): 1}, {})
     dec = gabriel_decompose(rep)
     assert dict(dec.intervals) == {(0, 0): 1, (1, 1): 1}
+
+
+def test_gabriel_check_survives_python_O():
+    # With every rank forced to 0 the intervals cannot cover the dimension
+    # vector; the check must still fire when asserts are stripped.
+    code = (
+        "from homquiver import Matrix, QuiverRep, build_geometry, gabriel_decompose\n"
+        "Matrix.rank = lambda self: 0\n"
+        "g = build_geometry('A1')\n"
+        "alpha = g.root_system.simple_root(1)\n"
+        "rep = QuiverRep(g, {(1,): 1, (-1,): 1}, {((1,), alpha): Matrix([[1]])})\n"
+        "try:\n"
+        "    gabriel_decompose(rep)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(homquiver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "Gabriel multiplicities do not match dimensions"
 
 
 def test_gabriel_counts_match_ranks_randomly():

@@ -136,6 +136,13 @@ def test_non_borel_h0_warns():
     assert dec.notes
 
 
+def test_h0_and_h0_am_reject_structurally_invalid_reps():
+    rep = QuiverRep(build_geometry("A2", (1,)), {(-1, 0): 1})
+    for fn in (h0, h0_am):
+        with pytest.raises(ValueError, match=r"^vertex \(-1, 0\): not p-dominant for levi \[1\]$"):
+            fn(rep)
+
+
 def test_h0_agrees_with_sl2_oracle():
     g = build_geometry("A1", ())
     alpha = g.root_system.simple_root(1)

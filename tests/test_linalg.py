@@ -8,9 +8,16 @@ from homquiver.linalg import (
     preimage_basis,
     row_space_basis,
     solve_in_basis,
-    span_contains,
     span_intersection,
 )
+
+
+def span_contains(basis, vector) -> bool:
+    """Whether vector lies in the span of basis (all of common length)."""
+    n = len(vector)
+    before = len(row_space_basis(basis, n))
+    after = len(row_space_basis(list(basis) + [vector], n))
+    return before == after
 
 
 def rand_matrix(rng, rows, cols, den=3):
@@ -115,3 +122,64 @@ def test_solve_in_basis_round_trip():
         target = rand_matrix(rng, 4, 2)
         coords = solve_in_basis(basis, target)
         assert basis @ coords == target
+
+
+def _to_fractions(rows):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+
+
+def test_kernel_against_sympy_over_qq():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def dm(rows, shape):
+        return DomainMatrix(
+            [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows],
+            shape,
+            sympy.QQ,
+        )
+
+    def sym(m):
+        entries = [sympy.Rational(x.numerator, x.denominator) for r in m.data for x in r]
+        return sympy.Matrix(m.rows, m.cols, entries)
+
+    rng = random.Random(19)
+    shapes = [(0, 0), (0, 3), (3, 0)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
+    for rows, cols in shapes:
+        if rows and cols and rng.random() < 0.5:
+            # low rank: a product through a narrower middle
+            k = rng.randint(1, min(rows, cols))
+            m = rand_matrix(rng, rows, k) @ rand_matrix(rng, k, cols)
+        else:
+            m = rand_matrix(rng, rows, cols)
+        ref = dm(m.data, (rows, cols))
+        red, pivots = m.rref()
+        ref_red, ref_pivots = ref.rref()
+        assert pivots == tuple(ref_pivots)
+        assert [list(r) for r in red.data] == _to_fractions(ref_red.to_list())
+        assert m.rank() == ref.rank()
+        basis = m.nullspace()
+        ref_basis = ref.nullspace()
+        assert len(basis) == ref_basis.shape[0]
+        if basis:
+            ours = dm(basis, (len(basis), cols))
+            assert ours.rref()[0] == ref_basis.rref()[0]
+
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 3)
+        basis = rand_matrix(rng, rows, cols)
+        if rng.random() < 0.5:
+            targets = basis @ rand_matrix(rng, cols, 2)
+        else:
+            targets = rand_matrix(rng, rows, 2)
+        try:
+            sol, params = sym(basis).gauss_jordan_solve(sym(targets))
+            expected = None if params.rows else _to_fractions(sol.tolist())
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(ValueError):
+                solve_in_basis(basis, targets)
+        else:
+            assert [list(r) for r in solve_in_basis(basis, targets).data] == expected
