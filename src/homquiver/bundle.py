@@ -23,7 +23,7 @@ from .linalg import (
     solve_in_basis,
     span_intersection,
 )
-from .quiver import RelationInstance, borel_relation_instances
+from .quiver import RelationInstance, relation_table, support_relation_instances
 from .rootsystem import Root, Weight
 
 
@@ -91,12 +91,29 @@ class QuiverRep:
 
     def path_matrix(self, src: Weight, roots) -> Matrix:
         """Composition of arrows from src in the given root order."""
-        mat = Matrix.identity(self.dim(src))
-        cur = tuple(src)
+        src = tuple(src)
+        end = src
         for root in roots:
-            mat = self.arrow(cur, root) @ mat
+            end = tuple(a - b for a, b in zip(end, root.fund))
+        return self.walk(src, roots, end)
+
+    def walk(self, src: Weight, roots, end: Weight) -> Matrix:
+        """Composition of arrows from src along the roots, ending at end.
+
+        The product starts from the first arrow and is the zero map as
+        soon as an arrow is absent; ``roots`` (any iterable) is read no
+        further then, so a path leaving the support costs at most one
+        step per support vertex.
+        """
+        mat = None
+        cur = src
+        for root in roots:
+            step = self.arrows.get((cur, root))
+            if step is None:
+                return Matrix.zeros(self.dim(end), self.dim(src))
+            mat = step if mat is None else step @ mat
             cur = tuple(a - b for a, b in zip(cur, root.fund))
-        return mat
+        return Matrix.identity(self.dim(src)) if mat is None else mat
 
 
 def validate(rep: QuiverRep) -> list:
@@ -135,22 +152,21 @@ def validate(rep: QuiverRep) -> list:
     return errors
 
 
-def _residual(rep: QuiverRep, inst: RelationInstance) -> Matrix:
+def _residual(rep: QuiverRep, inst: RelationInstance, end: Weight,
+              delta: Root | None) -> Matrix:
     """Relation residual at an instance; the relation holds iff it is zero.
 
     With arrows recording the action of the negative-root generators, the
     bracket identity reads: (path gamma then beta) - (path beta then gamma)
-    = N(-beta,-gamma) * (direct arrow for beta+gamma).
+    = N(-beta,-gamma) * (direct arrow for delta = beta+gamma), all maps
+    from the source to ``end``.
     """
     lam = inst.source
     beta, gamma = inst.beta, inst.gamma
-    m_gb = rep.path_matrix(lam, (gamma, beta))
-    m_bg = rep.path_matrix(lam, (beta, gamma))
+    m_gb = rep.walk(lam, (gamma, beta), end)
+    m_bg = rep.walk(lam, (beta, gamma), end)
     res = m_gb - m_bg
     if inst.coefficient:
-        delta = rep.geometry.root_system.root(
-            tuple(a + b for a, b in zip(beta.simple, gamma.simple))
-        )
         res = res - rep.arrow(lam, delta).scale(inst.coefficient)
     return res
 
@@ -161,14 +177,10 @@ def check_relations(rep: QuiverRep) -> list:
     if not geom.is_borel:
         raise ValueError("relations are only known for the Borel parabolic")
     violated = []
-    for inst in borel_relation_instances(geom, rep.support):
-        end = tuple(
-            a - b - c
-            for a, b, c in zip(inst.source, inst.beta.fund, inst.gamma.fund)
-        )
+    for inst, end, delta in support_relation_instances(geom, rep.support):
         if rep.dim(inst.source) == 0 or rep.dim(end) == 0:
             continue  # residual lands in a zero space
-        if not _residual(rep, inst).is_zero():
+        if not _residual(rep, inst, end, delta).is_zero():
             violated.append(inst)
     return violated
 
@@ -206,23 +218,18 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
         key: mat for key, mat in rep.arrows.items() if key[1] in simples
     }
     work = QuiverRep(geom, rep.support, arrows)
+    table = relation_table(rs)
     for delta in rs.positive_roots:
         if delta.height < 2:
             continue
-        decomposition = next(
-            (b, g)
-            for i, b in enumerate(rs.positive_roots)
-            for g in rs.positive_roots[i + 1:]
-            if tuple(x + y for x, y in zip(b.simple, g.simple)) == delta.simple
-        )
-        beta, gamma = decomposition
-        n = rs.chevalley(-beta, -gamma)
+        # the first decomposition delta = beta + gamma in root-pair order
+        _, _, beta, gamma, n = table[delta.fund][1][0]
         for lam in sorted(rep.support):
             tgt = tuple(a - b for a, b in zip(lam, delta.fund))
             if tgt not in rep.support:
                 continue
-            m_gb = work.path_matrix(lam, (gamma, beta))
-            m_bg = work.path_matrix(lam, (beta, gamma))
+            m_gb = work.walk(lam, (gamma, beta), tgt)
+            m_bg = work.walk(lam, (beta, gamma), tgt)
             mat = (m_gb - m_bg).scale(Fraction(1, n))
             if not mat.is_zero():
                 work.arrows[(lam, delta)] = mat
@@ -346,10 +353,7 @@ def _span_dict(rep: QuiverRep, seeds) -> dict:
             tgt = tuple(a - b for a, b in zip(src, root.fund))
             if not spans[src]:
                 continue
-            images = [
-                tuple((mat @ Matrix([list(v)], 1, len(v)).transpose()).column(0))
-                for v in spans[src]
-            ]
+            images = (mat @ Matrix.from_columns(spans[src], mat.cols)).columns()
             new = row_space_basis(spans[tgt] + images, rep.support[tgt])
             if len(new) != len(spans[tgt]):
                 spans[tgt] = new
@@ -424,11 +428,12 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
         tgt = tuple(a - b for a, b in zip(src, root.fund))
         if src not in support or tgt not in support:
             continue
+        image = proj[tgt] @ mat
         if spans[src]:
             kb = Matrix.from_columns(spans[src], mat.cols)
-            if not (proj[tgt] @ mat @ kb).is_zero():
+            if not (image @ kb).is_zero():
                 raise AssertionError("colon kernel is not arrow-invariant")
-        arrows[(src, root)] = proj[tgt] @ mat @ sect[src]
+        arrows[(src, root)] = image @ sect[src]
     return QuiverRep(rep.geometry, support, arrows)
 
 

@@ -37,14 +37,19 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
         raise BundleFormatError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_vector(value, where: str) -> tuple:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise BundleFormatError(f"{where} must be a list of integers")
     return tuple(value)
 
 
 def _entry(value, where: str) -> Fraction:
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -63,7 +68,7 @@ def rep_from_dict(doc: dict) -> QuiverRep:
     if not isinstance(algebra, str):
         raise BundleFormatError('"algebra" must be a string such as "A2"')
     levi = doc.get("levi", [])
-    if not isinstance(levi, list) or not all(isinstance(i, int) for i in levi):
+    if not isinstance(levi, list) or not all(_is_int(i) for i in levi):
         raise BundleFormatError('"levi" must be a list of integers')
     try:
         geom = build_geometry(algebra, levi)
@@ -76,7 +81,7 @@ def rep_from_dict(doc: dict) -> QuiverRep:
             raise BundleFormatError("vertex entries must be objects")
         _check_keys(v, {"weight", "dim"}, {"weight", "dim"}, "vertex entry")
         w = _int_vector(v["weight"], '"weight"')
-        if not isinstance(v["dim"], int) or v["dim"] <= 0:
+        if not _is_int(v["dim"]) or v["dim"] <= 0:
             raise BundleFormatError(f'"dim" of vertex {list(w)} must be a positive integer')
         if w in support:
             raise BundleFormatError(f"duplicate vertex {list(w)}")

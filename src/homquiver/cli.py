@@ -49,6 +49,16 @@ def _levi(text: str) -> tuple:
         raise _UsageError(f"bad levi list {text!r}: expected e.g. '1,3'")
 
 
+def _weight(geom, coords, what: str) -> tuple:
+    rank = geom.root_system.rank
+    if len(coords) != rank:
+        raise _UsageError(
+            f"{what} needs {rank} coordinates for {geom.root_system.cartan_type}, "
+            f"got {len(coords)}"
+        )
+    return tuple(coords)
+
+
 def _fmt_weight(w) -> str:
     return ",".join(str(c) for c in w)
 
@@ -148,8 +158,7 @@ def _geometry(type_name, levi=()):
 def _run(args, out) -> int:
     if args.command == "bott":
         geom = _geometry(args.type, args.levi)
-        lam = tuple(args.coords)
-        res = bott(geom, lam)
+        res = bott(geom, _weight(geom, args.coords, "the weight"))
         if args.json:
             doc = (
                 {"singular": True}
@@ -173,7 +182,8 @@ def _run(args, out) -> int:
 
     if args.command == "quiver":
         geom = _geometry(args.type, args.levi)
-        window = quiver_window(geom, args.center, args.radius)
+        center = _weight(geom, args.center, "--center")
+        window = quiver_window(geom, center, args.radius)
         if args.json:
             doc = {
                 "vertices": [list(v) for v in window.vertices],

@@ -11,6 +11,7 @@ against the Gabriel interval decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bott import bott, weyl_dim
 from .bundle import QuiverRep, gabriel_decompose, is_am_type, require_valid
@@ -108,12 +109,14 @@ def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix:
     """Product of the arrow matrices along the pairing path.
 
     Any missing intermediate vertex or arrow contributes a zero map, so
-    the product is the zero matrix in that case.
+    the product is the zero matrix in that case.  The walk stops at the
+    first absent arrow, so its cost is bounded by the support size, not by
+    the magnitude of ``pairing.k``.
     """
     if pairing.source not in rep.support or pairing.target not in rep.support:
         raise ValueError("pairing endpoints must lie in the support")
     alpha = rep.geometry.root_system.simple_root(pairing.index)
-    return rep.path_matrix(pairing.source, (alpha,) * pairing.k)
+    return rep.walk(pairing.source, repeat(alpha, pairing.k), pairing.target)
 
 
 def _section_multiplicities(rep: QuiverRep) -> dict:

@@ -48,6 +48,16 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _of(cls, data: tuple, rows: int, cols: int) -> "Matrix":
+        """Wrap rows that are already tuples of Fractions of the given shape,
+        skipping the conversion and shape checks of the constructor."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "data", data)
+        return mat
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)], rows, cols)
 
@@ -83,22 +93,33 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+        return Matrix._of(
+            tuple(
+                tuple(a + b for a, b in zip(r, s))
+                for r, s in zip(self.data, other.data)
+            ),
             self.rows,
             self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in subtraction")
+        return Matrix._of(
+            tuple(
+                tuple(a - b for a, b in zip(r, s))
+                for r, s in zip(self.data, other.data)
+            ),
+            self.rows,
+            self.cols,
+        )
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix(
-            [[c * x for x in row] for row in self.data], self.rows, self.cols
+        return Matrix._of(
+            tuple(tuple(c * x for x in row) for row in self.data),
+            self.rows,
+            self.cols,
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -107,18 +128,15 @@ class Matrix:
                 f"shape mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(
-                    sum(
-                        (self.data[i][k] * other.data[k][j] for k in range(self.cols)),
-                        Fraction(0),
-                    )
-                )
-            out.append(row)
-        return Matrix(out, self.rows, other.cols)
+        columns = tuple(zip(*other.data)) or ((),) * other.cols
+        out = tuple(
+            tuple(
+                sum((a * b for a, b in zip(row, col)), Fraction(0))
+                for col in columns
+            )
+            for row in self.data
+        )
+        return Matrix._of(out, self.rows, other.cols)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -133,7 +151,7 @@ class Matrix:
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Matrix(self.data + other.data, self.rows + other.rows, self.cols)
+        return Matrix._of(self.data + other.data, self.rows + other.rows, self.cols)
 
     def _eliminate(self) -> tuple:
         """The elimination kernel: fraction-free Gauss-Jordan (Bareiss).

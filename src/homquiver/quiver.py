@@ -4,16 +4,20 @@ Vertices are p-dominant weights, arrows subtract nilradical roots and
 exist exactly when the Levi tensor multiplicity is 1.  The quiver is
 infinite; computations work on finite forward windows.  Relation
 instances are only defined for the Borel case, where the relations are
-the Serre-type commutation relations with Chevalley coefficients.
+the Serre-type commutation relations with Chevalley coefficients.  An
+instance at lam for the pair {beta, gamma} ends at lam - beta - gamma, so
+the instances between two support vertices are read off a per-root-system
+table of the pairs with a given sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import ParabolicGeometry
 from .levi import arrow_multiplicity
-from .rootsystem import Root, Weight
+from .rootsystem import Root, RootSystem, Weight
 
 GENERATING = "generating"
 DERIVED = "derived"
@@ -111,3 +115,58 @@ def borel_relation_instances(geom: ParabolicGeometry, support) -> tuple:
                     n = rs.chevalley(-beta, -gamma)
                     out.append(RelationInstance(lam, beta, gamma, n))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def relation_table(rs: RootSystem) -> dict:
+    """Unordered pairs of distinct positive roots, grouped by their sum.
+
+    Maps the sum beta + gamma, in fundamental coordinates, to ``(delta,
+    entries)``: ``delta`` is the Root beta + gamma or None when the sum is
+    no root, and ``entries`` lists ``(i, j, beta, gamma, N(-beta, -gamma))``
+    with ``i < j`` indices into ``rs.positive_roots``, in increasing (i, j)
+    order, the order of ``borel_relation_instances``.  The table is
+    cached and shared; callers must not mutate it.
+    """
+    pos = rs.positive_roots
+    table = {}
+    for i, beta in enumerate(pos):
+        for j in range(i + 1, len(pos)):
+            gamma = pos[j]
+            key = tuple(a + b for a, b in zip(beta.fund, gamma.fund))
+            if key not in table:
+                total = tuple(a + b for a, b in zip(beta.simple, gamma.simple))
+                table[key] = (rs.root(total), [])
+            table[key][1].append((i, j, beta, gamma, rs.chevalley(-beta, -gamma)))
+    return {key: (delta, tuple(entries)) for key, (delta, entries) in table.items()}
+
+
+def support_relation_instances(geom: ParabolicGeometry, support):
+    """Relation instances whose source and end both lie in support (Borel only).
+
+    Yields ``(instance, end, delta)`` with ``end = source - beta - gamma``
+    and ``delta`` the Root beta + gamma (None when the sum is no root).
+    The instances come in the order of ``borel_relation_instances``
+    restricted to ends in the support: by source, then by the (i, j)
+    index of the root pair.  Ends are found by subtracting every support
+    vertex or every table key from the source, whichever set is smaller.
+    """
+    if not geom.is_borel:
+        raise ValueError("relations are only known for the Borel parabolic")
+    table = relation_table(geom.root_system)
+    support = set(support)
+    by_key = len(table) < len(support)
+    for lam in sorted(support):
+        if by_key:
+            pairs = ((key, tuple(a - b for a, b in zip(lam, key))) for key in table)
+            ends = [(key, end) for key, end in pairs if end in support]
+        else:
+            pairs = ((tuple(a - b for a, b in zip(lam, mu)), mu) for mu in support)
+            ends = [(key, mu) for key, mu in pairs if key in table]
+        found = []
+        for key, end in ends:
+            delta, entries = table[key]
+            found.extend(entry + (end, delta) for entry in entries)
+        found.sort(key=lambda t: t[:2])  # the (i, j) pair index
+        for _, _, beta, gamma, n, end, delta in found:
+            yield RelationInstance(lam, beta, gamma, n), end, delta

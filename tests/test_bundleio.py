@@ -116,3 +116,40 @@ def test_fixture_corpus_loads():
     for name in names:
         rep = load_rep(FIXTURES / name)
         assert rep.support
+
+
+
+def _line_pair():
+    """A valid two-vertex A2 document: (1,0) -> (-1,1) along alpha_1."""
+    return {
+        "algebra": "A2",
+        "levi": [],
+        "vertices": [{"weight": [1, 0], "dim": 1}, {"weight": [-1, 1], "dim": 1}],
+        "arrows": [{"from": [1, 0], "root": [1, 0], "matrix": [[1]]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d["vertices"][0].update(weight=[True, 0]),
+        lambda d: d["vertices"][1].update(dim=True),
+        lambda d: d.update(levi=[True], arrows=[]),
+        lambda d: d["arrows"][0].update(**{"from": [True, 0]}),
+        lambda d: d["arrows"][0].update(root=[True, False]),
+        lambda d: d["arrows"][0].update(matrix=[[True]]),
+        lambda d: d["arrows"][0].update(matrix=[[False]]),
+    ],
+    ids=["weight", "dim", "levi", "from", "root", "entry-true", "entry-false"],
+)
+def test_json_booleans_are_not_integers(mangle, tmp_path):
+    from homquiver.cli import main
+
+    rep_from_dict(_line_pair())
+    doc = _line_pair()
+    mangle(doc)
+    with pytest.raises(BundleFormatError):
+        rep_from_dict(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1

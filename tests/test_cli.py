@@ -147,3 +147,17 @@ def test_bad_json_exit_one(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(["check", str(path)])[0] == 1
+
+
+def test_wrong_coordinate_count_is_a_usage_error(capsys):
+    for argv in (
+        ["bott", "A2", "--", "1", "2", "3"],
+        ["bott", "A2", "--levi", "2", "--", "1"],
+        ["quiver", "A2", "--center", "0,0,0", "--radius", "1"],
+    ):
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "coordinates" in err

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -257,3 +258,31 @@ def test_h0_bounded_by_graded_degree_zero(a2):
     for _ in range(20):
         rep = random_consistent_rep(a2, rng)
         assert h0(rep).total_dimension <= h_graded(rep, 0).total_dimension
+
+
+def test_h0_cost_does_not_grow_with_coordinate_size(tmp_path):
+    # the pairing path of (N,0) has N+1 steps through absent vertices
+    import json
+    import time
+
+    from homquiver.cli import main
+
+    n = 10**6
+    doc = {
+        "algebra": "A2",
+        "levi": [],
+        "vertices": [
+            {"weight": [n, 0], "dim": 1},
+            {"weight": [-n - 2, n + 1], "dim": 1},
+        ],
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert main(["h0", str(path)], out=out) == 0
+    elapsed = time.perf_counter() - start
+    assert out.getvalue() == (
+        "weight=1000000,0 mult=1 dim=500001500001\ntotal=500001500001\n"
+    )
+    assert elapsed < 1.0, elapsed

@@ -183,3 +183,31 @@ def test_kernel_against_sympy_over_qq():
                 solve_in_basis(basis, targets)
         else:
             assert [list(r) for r in solve_in_basis(basis, targets).data] == expected
+
+
+def test_arithmetic_matches_entrywise_definition():
+    # sums, differences, scalings and products, zero shapes included, equal
+    # (and hash like) matrices built entry by entry through the constructor
+    rng = random.Random(23)
+    for _ in range(80):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a, a2 = rand_matrix(rng, r, k), rand_matrix(rng, r, k)
+        b = rand_matrix(rng, k, c)
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        expected = {
+            "add": [[a.data[i][j] + a2.data[i][j] for j in range(k)] for i in range(r)],
+            "sub": [[a.data[i][j] - a2.data[i][j] for j in range(k)] for i in range(r)],
+            "scale": [[s * a.data[i][j] for j in range(k)] for i in range(r)],
+            "matmul": [
+                [sum(a.data[i][t] * b.data[t][j] for t in range(k)) for j in range(c)]
+                for i in range(r)
+            ],
+        }
+        got = {"add": a + a2, "sub": a - a2, "scale": a.scale(s), "matmul": a @ b}
+        for name, mat in got.items():
+            rows = expected[name]
+            want = Matrix(rows, r, len(rows[0]) if rows else (c if name == "matmul" else k))
+            assert mat == want and hash(mat) == hash(want), name
+            assert (mat.rows, mat.cols) == (want.rows, want.cols), name
+    with pytest.raises(ValueError):
+        rand_matrix(rng, 2, 2) - rand_matrix(rng, 2, 3)
