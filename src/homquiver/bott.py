@@ -55,7 +55,9 @@ def dominantize(rs: RootSystem, v: Weight, indices=None):
         indices = range(1, rs.rank + 1)
     indices = tuple(sorted(set(indices)))
     pos = sub_positive_roots(rs, frozenset(indices))
-    inners = [rs.inner(v, a) for a in pos]
+    if len(v) != rs.rank:
+        raise ValueError("rank mismatch")
+    inners = [sum(x * y for x, y in zip(v, a.simple)) for a in pos]
     if any(c == 0 for c in inners):
         return None
     negative_count = sum(1 for c in inners if c < 0)

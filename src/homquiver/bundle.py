@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ParabolicGeometry, build_geometry
-from .levi import arrow_multiplicity
+from .levi import arrow_multiplicity, nilradical_duals
 from .linalg import (
     Matrix,
     preimage_basis,
@@ -138,7 +138,8 @@ def validate(rep: QuiverRep) -> list:
         if tgt not in rep.support:
             errors.append(f"arrow {src} -{root.simple}->: target {tgt} not in support")
             continue
-        if root not in geom.nilradical_roots:
+        entry = nilradical_duals(geom).get(root.fund)
+        if entry is None or entry[0] != root:
             errors.append(f"arrow {src} -{root.simple}->: not a nilradical root")
             continue
         if arrow_multiplicity(geom, src, tgt) != 1:

@@ -52,6 +52,10 @@ def _entry(value, where: str) -> Fraction:
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
+        # The format has no exponents; "1e999999999" would cost time and
+        # memory in proportion to the number's size.
+        if "e" in value.lower():
+            raise BundleFormatError(f"bad rational {value!r} in {where}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -76,6 +80,8 @@ def rep_from_dict(doc: dict) -> QuiverRep:
         raise BundleFormatError(str(exc)) from exc
 
     support = {}
+    if not isinstance(doc["vertices"], list):
+        raise BundleFormatError('"vertices" must be a list')
     for v in doc["vertices"]:
         if not isinstance(v, dict):
             raise BundleFormatError("vertex entries must be objects")
@@ -88,6 +94,8 @@ def rep_from_dict(doc: dict) -> QuiverRep:
         support[w] = v["dim"]
 
     arrows = {}
+    if not isinstance(doc.get("arrows", []), list):
+        raise BundleFormatError('"arrows" must be a list')
     for a in doc.get("arrows", []):
         if not isinstance(a, dict):
             raise BundleFormatError("arrow entries must be objects")
@@ -116,6 +124,8 @@ def rep_from_dict(doc: dict) -> QuiverRep:
             [_entry(x, f"arrow {list(src)} -> {list(tgt)}") for x in r]
             for r in a["matrix"]
         ]
+        if len({len(r) for r in data}) > 1:
+            raise BundleFormatError(f"arrow {list(src)} -> {list(tgt)}: ragged matrix rows")
         mat = Matrix(data, len(data), len(data[0]) if data else cols)
         if (mat.rows, mat.cols) != (rows, cols):
             raise BundleFormatError(
@@ -153,11 +163,13 @@ def rep_to_dict(rep: QuiverRep) -> dict:
 
 
 def load_rep(path) -> QuiverRep:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleFormatError(f"{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Malformed or too deeply nested JSON, bytes that are not UTF-8,
+        # an integer too long to convert, a NUL byte in the path.
+        raise BundleFormatError(f"{path}: {exc}") from exc
     return rep_from_dict(doc)
 
 

@@ -293,18 +293,24 @@ def _run(args, out) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _print_error(exc):
+    # One line, even when the message quotes an argument or a path that
+    # holds a line break.
+    print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return USAGE_ERROR
     try:
         return _run(args, out)
     except (_UsageError, BundleFormatError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return USAGE_ERROR
     except RelationError as exc:
         for inst in exc.instances:
@@ -314,10 +320,10 @@ def main(argv=None, out=None) -> int:
                 f"N={inst.coefficient}",
                 file=sys.stderr,
             )
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return SEMANTIC_ERROR
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return SEMANTIC_ERROR
 
 

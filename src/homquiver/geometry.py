@@ -23,6 +23,11 @@ class ParabolicGeometry:
     nilradical_roots: tuple
     generating_roots: tuple
 
+    def __hash__(self):
+        # The roots are determined by (root_system, levi); hashing them
+        # on every cache lookup keyed on a geometry is wasted work.
+        return hash((self.root_system, self.levi))
+
     @property
     def is_borel(self) -> bool:
         return not self.levi

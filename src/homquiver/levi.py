@@ -23,62 +23,82 @@ def _require_p_dominant(geom: ParabolicGeometry, lam: Weight):
         raise ValueError(f"{lam} is not p-dominant for levi {geom.levi}")
 
 
-@lru_cache(maxsize=None)
+# Weight-keyed memos are bounded: their keys are arbitrary weights, so an
+# unbounded cache would grow for as long as the process runs.
+_WEIGHT_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
     """Weight system of the Levi-irreducible with highest weight lam.
 
     Freudenthal recursion with the ambient invariant form and the Levi
     rho-shift, descending level by level from lam.  Returns a tuple of
-    (weight, multiplicity) pairs, multiplicities positive.
+    (weight, multiplicity) pairs, multiplicities positive.  Norms are
+    taken with the integer Gram form, scaled by ``gram_scale``, so the
+    recursion runs in integers only.
     """
     _require_p_dominant(geom, lam)
     rs = geom.root_system
+    scale = rs.gram_scale
     rho_l = geom.rho_levi
     pos_l = sub_positive_roots(rs, frozenset(geom.levi))
+    simples = [rs.simple_root(i).fund for i in geom.levi]
+    # Every weight is lam minus steps[p] copies of the p-th Levi simple
+    # root, and mu + k*alpha can be a weight only while no count of
+    # lam - mu - k*alpha goes negative.
+    strings = [
+        (alpha, tuple((p, alpha.simple[i - 1]) for p, i in enumerate(geom.levi)
+                      if alpha.simple[i - 1]))
+        for alpha in pos_l
+    ]
     lam_shift = tuple(a + b for a, b in zip(lam, rho_l))
-    top_norm = rs.weight_inner(lam_shift, lam_shift)
+    top_norm = rs.scaled_inner(lam_shift, lam_shift)
 
     mult = {lam: 1}
+    steps = {lam: (0,) * len(simples)}
     level = [lam]
-    depth = 0  # simple-root steps below lam
     while level:
-        depth += 1
-        candidates = set()
-        for mu in level:
-            for i in geom.levi:
-                candidates.add(
-                    tuple(a - b for a, b in zip(mu, rs.simple_root(i).fund))
-                )
+        candidates = {}
+        for nu in level:
+            below = steps[nu]
+            for p, alpha in enumerate(simples):
+                mu = tuple(a - b for a, b in zip(nu, alpha))
+                candidates[mu] = below[:p] + (below[p] + 1,) + below[p + 1:]
         nxt = []
         for mu in sorted(candidates):
-            if mu in mult:
-                continue
-            num = Fraction(0)
-            for alpha in pos_l:
-                # mu + k*alpha can be a weight only while it stays at or
-                # above the level of lam.
-                for k in range(1, depth // alpha.height + 1):
-                    up = tuple(a + k * b for a, b in zip(mu, alpha.fund))
-                    m_up = mult.get(up, 0)
+            below = candidates[mu]
+            num = 0
+            for alpha, support in strings:
+                top = min(below[p] // c for p, c in support)
+                if not top:
+                    continue
+                # (mu + k*alpha, alpha) is (mu, alpha) + 2k.
+                pairing = sum(a * b for a, b in zip(mu, alpha.simple))
+                for k in range(1, top + 1):
+                    m_up = mult.get(tuple(a + k * b for a, b in zip(mu, alpha.fund)), 0)
                     if m_up:
-                        num += m_up * rs.inner(up, alpha)
+                        num += m_up * (pairing + 2 * k)
             mu_shift = tuple(a + b for a, b in zip(mu, rho_l))
-            den = top_norm - rs.weight_inner(mu_shift, mu_shift)
+            den = top_norm - rs.scaled_inner(mu_shift, mu_shift)
             if den <= 0:
                 if num != 0:
                     raise AssertionError("Freudenthal denominator vanished on a weight")
                 continue
-            m = 2 * num / den
-            if m.denominator != 1 or m < 0:
-                raise AssertionError(f"Freudenthal multiplicity {m} at {mu}")
+            m, r = divmod(2 * num * scale, den)
+            if r or m < 0:
+                raise AssertionError(
+                    f"Freudenthal multiplicity {Fraction(2 * num * scale, den)} at {mu}"
+                )
             if m > 0:
-                mult[mu] = int(m)
+                mult[mu] = m
+                steps[mu] = below
                 nxt.append(mu)
         level = nxt
     return tuple(sorted(mult.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def levi_weyl_dim(geom: ParabolicGeometry, lam: Weight) -> int:
     """Weyl dimension formula over the Levi positive roots."""
     _require_p_dominant(geom, lam)
@@ -174,6 +194,24 @@ def nilradical_components(geom: ParabolicGeometry) -> tuple:
     return tuple(components)
 
 
+@lru_cache(maxsize=None)
+def nilradical_duals(geom: ParabolicGeometry) -> dict:
+    """Per nilradical root, its Root and the weights of its dual component.
+
+    Maps the fundamental coordinates of each nilradical root beta to
+    ``(beta, weights)``, where ``weights`` lists ``(weight, 1)`` for the
+    negated roots of the Levi component containing beta: the weight
+    system of the dual of that component.  Cached and shared; callers
+    must not mutate it.
+    """
+    table = {}
+    for _, members in nilradical_components(geom):
+        dual_weights = tuple((tuple(-c for c in r.fund), 1) for r in members)
+        for r in members:
+            table[r.fund] = (r, dual_weights)
+    return table
+
+
 def arrow_multiplicity(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> int:
     """Multiplicity (0 or 1) of the quiver arrow from lam to mu.
 
@@ -187,18 +225,10 @@ def arrow_multiplicity(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> int:
     _require_p_dominant(geom, lam)
     if not geom.is_p_dominant(mu):
         return 0  # no vertex there, hence no arrow
-    rs = geom.root_system
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    beta = rs.root_from_fund(diff)
-    if beta is None or beta not in geom.nilradical_roots:
+    entry = nilradical_duals(geom).get(tuple(a - b for a, b in zip(lam, mu)))
+    if entry is None:
         return 0
-    for _, members in nilradical_components(geom):
-        if beta in members:
-            component = members
-            break
-    # Dual component: weights are the negated roots, each of multiplicity 1.
-    dual_weights = [(tuple(-c for c in r.fund), 1) for r in component]
-    out = _klimyk_accumulate(geom, lam, dual_weights)
+    out = _klimyk_accumulate(geom, lam, entry[1])
     value = out.get(mu, 0)
     if not 0 <= value <= 1:
         raise AssertionError(

@@ -51,18 +51,26 @@ def is_vertex(geom: ParabolicGeometry, lam: Weight) -> bool:
     return geom.is_p_dominant(lam)
 
 
+@lru_cache(maxsize=None)
+def _arrow_kinds(geom: ParabolicGeometry) -> tuple:
+    """(beta, kind) for each nilradical root, in nilradical order."""
+    generating = set(geom.generating_roots)
+    return tuple(
+        (beta, GENERATING if beta in generating else DERIVED)
+        for beta in geom.nilradical_roots
+    )
+
+
 def arrows_from(geom: ParabolicGeometry, lam: Weight) -> tuple:
     """All quiver arrows leaving lam, in deterministic root order."""
     if not is_vertex(geom, lam):
         raise ValueError(f"{lam} is not a vertex for levi {geom.levi}")
-    generating = set(geom.generating_roots)
     out = []
-    for beta in geom.nilradical_roots:
+    for beta, kind in _arrow_kinds(geom):
         mu = tuple(a - b for a, b in zip(lam, beta.fund))
         if not geom.is_p_dominant(mu):
             continue
         if arrow_multiplicity(geom, lam, mu) == 1:
-            kind = GENERATING if beta in generating else DERIVED
             out.append(Arrow(lam, beta, mu, kind))
     return tuple(out)
 
@@ -74,21 +82,22 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    out_arrows = {}  # arrows_from of each vertex, computed once
     vertices = {center}
     frontier = [center]
     for _ in range(radius):
         nxt = []
         for v in frontier:
-            for arr in arrows_from(geom, v):
+            out_arrows[v] = arrows_from(geom, v)
+            for arr in out_arrows[v]:
                 if arr.target not in vertices:
                     vertices.add(arr.target)
                     nxt.append(arr.target)
         frontier = nxt
     arrows = []
     for v in sorted(vertices):
-        for arr in arrows_from(geom, v):
-            if arr.target in vertices:
-                arrows.append(arr)
+        out = out_arrows[v] if v in out_arrows else arrows_from(geom, v)
+        arrows.extend(arr for arr in out if arr.target in vertices)
     return QuiverWindow(tuple(sorted(vertices)), tuple(arrows))
 
 

@@ -10,6 +10,7 @@ theory, and nothing downstream may depend on the particular one.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,12 +102,20 @@ class RootSystem:
         self.rank = cartan_type.rank
         self.cartan_matrix = cartan_matrix(cartan_type)
         self.cartan_inverse = _invert(self.cartan_matrix)
+        # The invariant form on weights, scaled to integers:
+        # gram[i][j] = gram_scale * (omega_i, omega_j).
+        self.gram_scale = math.lcm(*(x.denominator for row in self.cartan_inverse for x in row))
+        self.gram = tuple(
+            tuple(int(x * self.gram_scale) for x in row) for row in self.cartan_inverse
+        )
         self.rho: Weight = (1,) * self.rank
         self.positive_roots = self._close_positive_roots()
         self._roots_by_simple = {}
+        self._roots_by_fund = {}
         for r in self.positive_roots:
-            self._roots_by_simple[r.simple] = r
-            self._roots_by_simple[(-r).simple] = -r
+            for root in (r, -r):
+                self._roots_by_simple[root.simple] = root
+                self._roots_by_fund[root.fund] = root
 
     def __eq__(self, other):
         return isinstance(other, RootSystem) and self.cartan_type == other.cartan_type
@@ -166,14 +175,15 @@ class RootSystem:
         return tuple(simple) in self._roots_by_simple
 
     def root_from_fund(self, fund: tuple):
-        """The Root with the given fundamental coordinates, or None."""
-        simple = tuple(
-            sum(self.cartan_inverse[i][j] * fund[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        if any(c.denominator != 1 for c in simple):
-            return None
-        return self.root(tuple(int(c) for c in simple))
+        """The Root with the given fundamental coordinates, or None.
+
+        The Cartan matrix maps simple to fundamental coordinates
+        bijectively, so a lookup over all roots answers this exactly.
+        """
+        fund = tuple(fund)
+        if len(fund) != self.rank:
+            raise ValueError("rank mismatch")
+        return self._roots_by_fund.get(fund)
 
     # ----- invariant form ---------------------------------------------------
 
@@ -188,14 +198,11 @@ class RootSystem:
             raise ValueError("rank mismatch")
         return sum(a * b for a, b in zip(xf, y.simple))
 
-    def weight_inner(self, x: Weight, y: Weight) -> Fraction:
-        """(x, y) for two weights in fundamental coordinates (rational)."""
-        acc = Fraction(0)
-        for i in range(self.rank):
-            if x[i]:
-                for j in range(self.rank):
-                    acc += x[i] * self.cartan_inverse[i][j] * y[j]
-        return acc
+    def scaled_inner(self, x: Weight, y: Weight) -> int:
+        """gram_scale * (x, y) for two weights in fundamental coordinates."""
+        return sum(
+            a * sum(g * b for g, b in zip(row, y)) for a, row in zip(x, self.gram) if a
+        )
 
     def reflect(self, lam: Weight, alpha: Root) -> Weight:
         """Reflection of lam in the hyperplane orthogonal to alpha."""

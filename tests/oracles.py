@@ -158,3 +158,144 @@ def brute_force_h0_multiplicity(rep, lam):
     if not rows:
         return d
     return Matrix(rows, len(rows), d).nullity()
+
+
+# ----- Fraction references for the integer combinatorial core --------------
+#
+# These are the straightforward rational-arithmetic versions of the
+# library's root lookup, invariant form, Freudenthal recursion, arrow
+# multiplicity and quiver window; the library's integer versions must
+# agree with them exactly.
+
+
+def root_from_fund_oracle(rs, fund):
+    """The Root with fundamental coordinates ``fund``, or None, through a
+    Fraction product with the inverse Cartan matrix."""
+    simple = tuple(
+        sum(rs.cartan_inverse[i][j] * fund[j] for j in range(rs.rank))
+        for i in range(rs.rank)
+    )
+    if any(c.denominator != 1 for c in simple):
+        return None
+    return rs.root(tuple(int(c) for c in simple))
+
+
+def weight_inner_oracle(rs, x, y):
+    """(x, y) for two weights in fundamental coordinates, as a Fraction."""
+    acc = Fraction(0)
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            acc += x[i] * rs.cartan_inverse[i][j] * y[j]
+    return acc
+
+
+def freudenthal_oracle(geom, lam):
+    """Freudenthal recursion with Fraction norms, scanning every alpha-string
+    up to the level of lam."""
+    from homquiver.bott import sub_positive_roots
+
+    rs = geom.root_system
+    rho_l = geom.rho_levi
+    pos_l = sub_positive_roots(rs, frozenset(geom.levi))
+    lam_shift = tuple(a + b for a, b in zip(lam, rho_l))
+    top_norm = weight_inner_oracle(rs, lam_shift, lam_shift)
+    mult = {lam: 1}
+    level = [lam]
+    depth = 0
+    while level:
+        depth += 1
+        candidates = {
+            tuple(a - b for a, b in zip(mu, rs.simple_root(i).fund))
+            for mu in level for i in geom.levi
+        }
+        nxt = []
+        for mu in sorted(candidates):
+            if mu in mult:
+                continue
+            num = Fraction(0)
+            for alpha in pos_l:
+                for k in range(1, depth // alpha.height + 1):
+                    up = tuple(a + k * b for a, b in zip(mu, alpha.fund))
+                    if up in mult:
+                        num += mult[up] * rs.inner(up, alpha)
+            mu_shift = tuple(a + b for a, b in zip(mu, rho_l))
+            den = top_norm - weight_inner_oracle(rs, mu_shift, mu_shift)
+            if den <= 0:
+                assert num == 0
+                continue
+            m = 2 * num / den
+            assert m.denominator == 1 and m >= 0, (mu, m)
+            if m > 0:
+                mult[mu] = int(m)
+                nxt.append(mu)
+        level = nxt
+    return tuple(sorted(mult.items()))
+
+
+def _levi_dot_dominant(geom, kappa):
+    """(sign, dominant weight) of kappa under the Levi Weyl group, or None
+    when kappa lies on a wall; reflects until no Levi coordinate is negative."""
+    rs = geom.root_system
+    w = tuple(kappa)
+    sign = 1
+    while True:
+        i = next((i for i in geom.levi if w[i - 1] < 0), None)
+        if i is None:
+            break
+        w = rs.simple_reflect(w, i)
+        sign = -sign
+    if any(w[i - 1] == 0 for i in geom.levi):
+        return None
+    return sign, w
+
+
+def arrow_multiplicity_oracle(geom, lam, mu):
+    """Arrow multiplicity lam -> mu: find beta = lam - mu by the Fraction
+    root lookup, scan the nilradical and its components, and decompose
+    lam (x) (dual component) by Brauer-Klimyk."""
+    if not geom.is_p_dominant(mu):
+        return 0
+    rs = geom.root_system
+    beta = root_from_fund_oracle(rs, tuple(a - b for a, b in zip(lam, mu)))
+    if beta is None or beta not in geom.nilradical_roots:
+        return 0
+    from homquiver.levi import nilradical_components
+
+    component = next(m for _, m in nilradical_components(geom) if beta in m)
+    rho_l = geom.rho_levi
+    out = {}
+    for r in component:
+        kappa = tuple(a - c + p for a, c, p in zip(lam, r.fund, rho_l))
+        res = _levi_dot_dominant(geom, kappa)
+        if res is not None:
+            label = tuple(a - p for a, p in zip(res[1], rho_l))
+            out[label] = out.get(label, 0) + res[0]
+    return out.get(mu, 0)
+
+
+def quiver_window_oracle(geom, center, radius):
+    """(vertices, arrows) of the radius window around center, arrows as
+    (source, root, target, kind) tuples, from the reference multiplicity."""
+    generating = set(geom.generating_roots)
+
+    def arrows(lam):
+        out = []
+        for beta in geom.nilradical_roots:
+            mu = tuple(a - b for a, b in zip(lam, beta.fund))
+            if arrow_multiplicity_oracle(geom, lam, mu) == 1:
+                kind = "generating" if beta in generating else "derived"
+                out.append((lam, beta, mu, kind))
+        return out
+
+    vertices = {center}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for _, _, t, _ in arrows(v):
+                if t not in vertices:
+                    vertices.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    found = [a for v in sorted(vertices) for a in arrows(v) if a[2] in vertices]
+    return tuple(sorted(vertices)), tuple(found)

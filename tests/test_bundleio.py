@@ -153,3 +153,44 @@ def test_json_booleans_are_not_integers(mangle, tmp_path):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d.update(vertices=None),
+        lambda d: d.update(vertices=3),
+        lambda d: d.update(arrows=None),
+        lambda d: d.update(arrows={"from": [1, 0]}),
+        lambda d: d["arrows"][0].update(matrix=[[1], [1, 2]]),
+        lambda d: d["arrows"][0].update(matrix=[["1e999999999"]]),
+    ],
+    ids=["vertices-null", "vertices-int", "arrows-null", "arrows-object", "ragged",
+         "exponent"],
+)
+def test_malformed_documents_are_format_errors(mangle, tmp_path):
+    from homquiver.cli import main
+
+    doc = _line_pair()
+    mangle(doc)
+    with pytest.raises(BundleFormatError):
+        rep_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"[" * 100_000, b'{"algebra": "A1", "vertices": [' + b"9" * 5000 + b"]}"],
+    ids=["not-utf8", "deep", "long-int"],
+)
+def test_unreadable_files_are_format_errors(content, tmp_path, capsys):
+    from homquiver.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(BundleFormatError):
+        load_rep(path)
+    assert main(["check", str(path)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1

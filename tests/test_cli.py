@@ -161,3 +161,10 @@ def test_wrong_coordinate_count_is_a_usage_error(capsys):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "coordinates" in err
+
+
+def test_errors_stay_on_one_line(capsys):
+    # argparse echoes unrecognized arguments verbatim, line breaks included
+    for arg in ("a\nb", "\x85", "x y"):
+        assert main(["check", "f.json", arg]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1

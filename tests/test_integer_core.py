@@ -1,0 +1,150 @@
+"""The integer combinatorial core against its Fraction references.
+
+Root lookup by fundamental coordinates, the integer Gram form, the
+integer Freudenthal recursion, the dual-component table behind arrow
+multiplicities and quiver windows must all give exactly what the plain
+rational-arithmetic versions in ``tests/oracles.py`` give.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from homquiver import build_geometry, build_root_system, quiver_window
+from homquiver.levi import arrow_multiplicity, freudenthal
+
+from .oracles import (
+    arrow_multiplicity_oracle,
+    freudenthal_oracle,
+    quiver_window_oracle,
+    root_from_fund_oracle,
+    weight_inner_oracle,
+)
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+)
+
+
+def _maximal_levis(rank):
+    return [tuple(i for i in range(1, rank + 1) if i != drop) for drop in range(1, rank + 1)]
+
+
+def _all_levis(rank):
+    return [
+        levi for size in range(rank + 1)
+        for levi in itertools.combinations(range(1, rank + 1), size)
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_from_fund_matches_fraction_product(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    product = tuple(
+        tuple(sum(rs.cartan_matrix[i][k] * rs.cartan_inverse[k][j] for k in range(n))
+              for j in range(n))
+        for i in range(n)
+    )
+    assert product == identity
+    roots = rs.positive_roots + tuple(-r for r in rs.positive_roots)
+    for r in roots:
+        assert rs.root_from_fund(r.fund) is root_from_fund_oracle(rs, r.fund) is rs.root(r.simple)
+        doubled = tuple(2 * c for c in r.fund)  # 2 beta: integral, never a root
+        assert rs.root_from_fund(doubled) is None
+        assert root_from_fund_oracle(rs, doubled) is None
+    rng = random.Random(f"root_from_fund:{name}")
+    non_integral = 0
+    for _ in range(300):
+        fund = tuple(rng.randint(-2, 2) for _ in range(n))
+        want = root_from_fund_oracle(rs, fund)
+        assert rs.root_from_fund(fund) is want
+        simple = [sum(rs.cartan_inverse[i][j] * fund[j] for j in range(n)) for i in range(n)]
+        non_integral += any(c.denominator != 1 for c in simple)
+    if name != "E8":  # the E8 Cartan matrix is unimodular
+        assert non_integral > 0
+
+
+def test_root_from_fund_rejects_wrong_length():
+    rs = build_root_system("A2")
+    for fund in ((1,), (1, 1, 7)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            rs.root_from_fund(fund)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_scaled_inner_matches_fraction_form(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    rng = random.Random(f"scaled_inner:{name}")
+    vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    vectors += [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(20)]
+    for x in vectors:
+        for y in vectors[:8]:
+            assert rs.scaled_inner(x, y) == weight_inner_oracle(rs, x, y) * rs.gram_scale
+    for r in rs.positive_roots:
+        assert rs.scaled_inner(r.fund, r.fund) == 2 * rs.gram_scale
+
+
+def test_freudenthal_matches_fraction_recursion_on_acceptance_sweep():
+    for name in ("A2", "A3"):
+        rank = build_root_system(name).rank
+        for levi in _all_levis(rank):
+            geom = build_geometry(name, levi)
+            for lam in itertools.product(range(4), repeat=rank):
+                assert freudenthal(geom, lam) == freudenthal_oracle(geom, lam), (levi, lam)
+
+
+@pytest.mark.parametrize("name", ["D5", "E6", "E7"])
+def test_freudenthal_matches_fraction_recursion_on_maximal_levis(name):
+    rank = build_root_system(name).rank
+    for levi in _maximal_levis(rank):
+        geom = build_geometry(name, levi)
+        for i in levi:
+            lam = tuple(int(j == i) for j in range(1, rank + 1))
+            assert freudenthal(geom, lam) == freudenthal_oracle(geom, lam), (levi, lam)
+
+
+def test_arrow_multiplicity_matches_reference():
+    rng = random.Random("arrow_multiplicity")
+    for name in ("A2", "A3", "D4"):
+        rs = build_root_system(name)
+        roots = rs.positive_roots + tuple(-r for r in rs.positive_roots)
+        for levi in _all_levis(rs.rank):
+            geom = build_geometry(name, levi)
+            for _ in range(6):
+                lam = tuple(
+                    rng.randint(0, 3) if i + 1 in levi else rng.randint(-3, 3)
+                    for i in range(rs.rank)
+                )
+                for r in roots:
+                    for diff in (r.fund, tuple(2 * c for c in r.fund)):
+                        mu = tuple(a - b for a, b in zip(lam, diff))
+                        want = arrow_multiplicity_oracle(geom, lam, mu)
+                        assert arrow_multiplicity(geom, lam, mu) == want, (levi, lam, mu)
+
+
+def _window_cases():
+    cases = [(name, levi) for name in ("A3", "D4") for levi in _all_levis(int(name[1:]))]
+    cases += [("D5", levi) for levi in _maximal_levis(5)]
+    return cases
+
+
+@pytest.mark.parametrize("name,levi", _window_cases())
+def test_quiver_window_matches_reference(name, levi):
+    geom = build_geometry(name, levi)
+    rank = geom.root_system.rank
+    rng = random.Random(f"window:{name}:{levi}")
+    # Levi coordinates 0 put the window against the p-dominance walls,
+    # 3 keep every vertex of a radius-2 window inside.
+    for inside in (0, 3):
+        center = tuple(
+            inside if i + 1 in levi else rng.randint(-2, 2) for i in range(rank)
+        )
+        window = quiver_window(geom, center, 2)
+        vertices, arrows = quiver_window_oracle(geom, center, 2)
+        assert window.vertices == vertices
+        assert tuple((a.source, a.root, a.target, a.kind) for a in window.arrows) == arrows
+

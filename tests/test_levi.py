@@ -160,3 +160,10 @@ def test_nilradical_component_dim_four():
     assert len(comps) == 1
     _, members = comps[0]
     assert len(members) == 4
+
+
+def test_weight_keyed_memos_are_bounded():
+    # Keyed on arbitrary weights, an unbounded memo grows for as long as
+    # the process runs.
+    for memo in (freudenthal, levi_weyl_dim):
+        assert memo.cache_info().maxsize is not None
