@@ -17,7 +17,7 @@ from .bott import bott
 from .bundle import RelationError, cotangent, gabriel_decompose, require_valid, solve_derived_arrows, tangent, validate
 from .bundleio import BundleFormatError, load_rep, rep_to_dict, save_rep
 from .cohomology import GModuleDecomposition, euler, h0, h_graded
-from .geometry import build_geometry
+from .geometry import build_geometry, parabolic_key
 from .quiver import quiver_window
 
 USAGE_ERROR = 1
@@ -47,16 +47,6 @@ def _levi(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise _UsageError(f"bad levi list {text!r}: expected e.g. '1,3'")
-
-
-def _weight(geom, coords, what: str) -> tuple:
-    rank = geom.root_system.rank
-    if len(coords) != rank:
-        raise _UsageError(
-            f"{what} needs {rank} coordinates for {geom.root_system.cartan_type}, "
-            f"got {len(coords)}"
-        )
-    return tuple(coords)
 
 
 def _fmt_weight(w) -> str:
@@ -146,19 +136,26 @@ def _load_checked(path):
     return rep
 
 
-def _geometry(type_name, levi=()):
-    # a malformed Cartan type or Levi index is a parse problem, not a
-    # semantic one
+def _geometry(type_name, levi=(), coords=None, what=""):
+    # A malformed Cartan type, Levi index or coordinate count is a parse
+    # problem, not a semantic one, and is reported in that order before
+    # the root system is built, whose cost grows with the rank.
     try:
-        return build_geometry(type_name, levi)
+        cartan_type, levi = parabolic_key(type_name, levi)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    if coords is not None and len(coords) != cartan_type.rank:
+        raise _UsageError(
+            f"{what} needs {cartan_type.rank} coordinates for {cartan_type}, "
+            f"got {len(coords)}"
+        )
+    return build_geometry(cartan_type, levi)
 
 
 def _run(args, out) -> int:
     if args.command == "bott":
-        geom = _geometry(args.type, args.levi)
-        res = bott(geom, _weight(geom, args.coords, "the weight"))
+        geom = _geometry(args.type, args.levi, args.coords, "the weight")
+        res = bott(geom, tuple(args.coords))
         if args.json:
             doc = (
                 {"singular": True}
@@ -181,9 +178,8 @@ def _run(args, out) -> int:
         return 0
 
     if args.command == "quiver":
-        geom = _geometry(args.type, args.levi)
-        center = _weight(geom, args.center, "--center")
-        window = quiver_window(geom, center, args.radius)
+        geom = _geometry(args.type, args.levi, args.center, "--center")
+        window = quiver_window(geom, args.center, args.radius)
         if args.json:
             doc = {
                 "vertices": [list(v) for v in window.vertices],

@@ -1,8 +1,9 @@
 """Representation theory of the Levi factor.
 
 Weight multiplicities via the Freudenthal recursion, tensor decompositions
-via the Brauer-Klimyk rule, and the two consequences the quiver needs: the
-Levi-module decomposition of the nilradical and the 0/1 arrow multiplicity.
+via the Brauer-Klimyk rule, the Levi-module decomposition of the
+nilradical, and the arrow multiplicity of the quiver, which the
+minuscule criterion decides without a tensor decomposition.
 
 Torus directions (fundamental coordinates outside the Levi subset) ride
 along unchanged: only Levi coordinates are ever reflected.
@@ -115,22 +116,6 @@ def levi_weyl_dim(geom: ParabolicGeometry, lam: Weight) -> int:
     return q
 
 
-def _klimyk_accumulate(geom: ParabolicGeometry, lam: Weight, weights) -> dict:
-    """Signed dominantization of lam + (each weight), Levi dot action."""
-    rs = geom.root_system
-    rho_l = geom.rho_levi
-    out = {}
-    for nu, m in weights:
-        kappa = tuple(a + b + r for a, b, r in zip(lam, nu, rho_l))
-        res = dominantize(rs, kappa, geom.levi)
-        if res is None:
-            continue
-        length, w = res
-        label = tuple(a - r for a, r in zip(w, rho_l))
-        out[label] = out.get(label, 0) + (-1) ** length * m
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def klimyk_tensor(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> tuple:
     """Decomposition of the Levi tensor product lam (x) mu.
 
@@ -140,7 +125,18 @@ def klimyk_tensor(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> tuple:
     """
     _require_p_dominant(geom, lam)
     _require_p_dominant(geom, mu)
-    out = _klimyk_accumulate(geom, lam, freudenthal(geom, mu))
+    rs = geom.root_system
+    rho_l = geom.rho_levi
+    out = {}
+    for nu, m in freudenthal(geom, mu):
+        kappa = tuple(a + b + r for a, b, r in zip(lam, nu, rho_l))
+        res = dominantize(rs, kappa, geom.levi)
+        if res is None:
+            continue
+        length, w = res
+        label = tuple(a - r for a, r in zip(w, rho_l))
+        out[label] = out.get(label, 0) + (-1) ** length * m
+    out = {k: v for k, v in out.items() if v != 0}
     if not all(m > 0 for m in out.values()):
         raise AssertionError("Klimyk produced a negative multiplicity")
     return tuple(sorted(out.items()))
@@ -194,44 +190,19 @@ def nilradical_components(geom: ParabolicGeometry) -> tuple:
     return tuple(components)
 
 
-@lru_cache(maxsize=None)
-def nilradical_duals(geom: ParabolicGeometry) -> dict:
-    """Per nilradical root, its Root and the weights of its dual component.
-
-    Maps the fundamental coordinates of each nilradical root beta to
-    ``(beta, weights)``, where ``weights`` lists ``(weight, 1)`` for the
-    negated roots of the Levi component containing beta: the weight
-    system of the dual of that component.  Cached and shared; callers
-    must not mutate it.
-    """
-    table = {}
-    for _, members in nilradical_components(geom):
-        dual_weights = tuple((tuple(-c for c in r.fund), 1) for r in members)
-        for r in members:
-            table[r.fund] = (r, dual_weights)
-    return table
-
-
 def arrow_multiplicity(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> int:
     """Multiplicity (0 or 1) of the quiver arrow from lam to mu.
 
-    Nonzero only when mu = lam - beta for a nilradical root beta, in which
-    case it is the multiplicity of the Levi-irreducible labeled mu inside
-    the tensor product of lam with the dual of the nilradical component
-    containing beta.  A value >= 2 would break the
-    one-arrow-per-root structure of the quiver and is raised as a hard
-    error.
+    It is 1 exactly when mu is p-dominant and lam - mu is a nilradical
+    root beta, else 0.  It counts the Levi module mu in lam (x) D, with D
+    the dual of the nilradical component of beta, and D is minuscule:
+    its weights are -gamma for nilradical roots gamma, and gamma is not
+    +-alpha for a Levi root alpha, so in type ADE <gamma, alpha^v> is
+    -1, 0 or 1.  lam (x) D holds lam + nu once for each weight nu of D
+    with lam + nu Levi-dominant, and -beta is such a weight.
     """
     _require_p_dominant(geom, lam)
     if not geom.is_p_dominant(mu):
         return 0  # no vertex there, hence no arrow
-    entry = nilradical_duals(geom).get(tuple(a - b for a, b in zip(lam, mu)))
-    if entry is None:
-        return 0
-    out = _klimyk_accumulate(geom, lam, entry[1])
-    value = out.get(mu, 0)
-    if not 0 <= value <= 1:
-        raise AssertionError(
-            f"arrow multiplicity {value} for {lam} -> {mu}: expected 0 or 1"
-        )
-    return value
+    beta = geom.root_system.root_from_fund(tuple(a - b for a, b in zip(lam, mu)))
+    return int(beta is not None and geom.is_nilradical(beta))

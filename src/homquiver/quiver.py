@@ -1,7 +1,8 @@
 """The quiver attached to a parabolic geometry.
 
-Vertices are p-dominant weights, arrows subtract nilradical roots and
-exist exactly when the Levi tensor multiplicity is 1.  The quiver is
+Vertices are p-dominant weights, and an arrow subtracts a nilradical
+root, one wherever both ends are vertices (see ``arrow_multiplicity``
+for why the Levi tensor multiplicity is always 0 or 1).  The quiver is
 infinite; computations work on finite forward windows.  Relation
 instances are only defined for the Borel case, where the relations are
 the Serre-type commutation relations with Chevalley coefficients.  An

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import time
 
 from homquiver.cli import main
 
@@ -161,6 +162,22 @@ def test_wrong_coordinate_count_is_a_usage_error(capsys):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "coordinates" in err
+
+
+def test_usage_errors_come_before_the_root_system_is_built(capsys):
+    # Building A120 takes seconds; a one-line usage error must not wait
+    # for it, and the Levi check still takes precedence over the count.
+    for argv, message in (
+        (["bott", "A120", "--", "1"], "the weight needs 120 coordinates for A120, got 1"),
+        (["quiver", "A120", "--center", "0", "--radius", "1"],
+         "--center needs 120 coordinates for A120, got 1"),
+        (["bott", "A120", "--levi", "121", "--", "1"], "levi index 121 out of range 1..120"),
+    ):
+        start = time.perf_counter()
+        code, out = run(argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out, capsys.readouterr().err) == (1, "", f"error: {message}\n"), argv
+        assert elapsed < 1.0, (argv, elapsed)
 
 
 def test_errors_stay_on_one_line(capsys):
