@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ParabolicGeometry, build_geometry
-from .levi import arrow_multiplicity
 from .linalg import (
     Matrix,
     preimage_basis,
@@ -89,14 +88,6 @@ class QuiverRep:
             return Matrix.zeros(self.dim(tgt), self.dim(src))
         return mat
 
-    def path_matrix(self, src: Weight, roots) -> Matrix:
-        """Composition of arrows from src in the given root order."""
-        src = tuple(src)
-        end = src
-        for root in roots:
-            end = tuple(a - b for a, b in zip(end, root.fund))
-        return self.walk(src, roots, end)
-
     def walk(self, src: Weight, roots, end: Weight) -> Matrix:
         """Composition of arrows from src along the roots, ending at end.
 
@@ -140,7 +131,7 @@ def validate(rep: QuiverRep) -> list:
             continue
         # Both ends are p-dominant here, so the arrow exists exactly when
         # root is a nilradical root of this root system.
-        if geom.root_system.root(root.simple) != root or not arrow_multiplicity(geom, src, tgt):
+        if geom.root_system.root(root.simple) != root or not geom.is_nilradical(root):
             errors.append(f"arrow {src} -{root.simple}->: not a nilradical root")
             continue
         if (mat.rows, mat.cols) != (rep.support[tgt], rep.support[src]):

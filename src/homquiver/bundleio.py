@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .bundle import QuiverRep
-from .geometry import build_geometry
+from .geometry import build_geometry, parabolic_key
 from .linalg import Matrix
 
 
@@ -75,7 +75,7 @@ def rep_from_dict(doc: dict) -> QuiverRep:
     if not isinstance(levi, list) or not all(_is_int(i) for i in levi):
         raise BundleFormatError('"levi" must be a list of integers')
     try:
-        geom = build_geometry(algebra, levi)
+        cartan_type, levi = parabolic_key(algebra, levi)
     except ValueError as exc:
         raise BundleFormatError(str(exc)) from exc
 
@@ -92,6 +92,13 @@ def rep_from_dict(doc: dict) -> QuiverRep:
         if w in support:
             raise BundleFormatError(f"duplicate vertex {list(w)}")
         support[w] = v["dim"]
+    # The message and exit status of ``bundle.validate``, but before the
+    # root system is built, whose cost grows with the declared rank.
+    wrong = [f"vertex {w}: wrong coordinate length" for w in support
+             if len(w) != cartan_type.rank]
+    if wrong:
+        raise ValueError("; ".join(wrong))
+    geom = build_geometry(cartan_type, levi)
 
     arrows = {}
     if not isinstance(doc.get("arrows", []), list):

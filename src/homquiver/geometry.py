@@ -4,6 +4,12 @@ A parabolic subgroup of an ADE group is encoded by the set of simple-root
 indices of its Levi factor.  The nilradical roots label quiver arrows; the
 generating roots are the ones surviving in the abelianization of the
 nilradical and label generating arrows.
+
+The grade of a root is the sum of its simple coordinates off the Levi
+subset, so the nilradical is n = g_1 + g_2 + ..., with g_k spanned by the
+root spaces of grade k.  The generating roots are exactly the roots of
+grade 1: n is generated by g_1, since [g_1, g_(k-1)] = g_k for k >= 2,
+so [n, n] is the sum of the g_k with k >= 2 and n/[n, n] is g_1.
 """
 
 from __future__ import annotations
@@ -34,14 +40,9 @@ class ParabolicGeometry:
         rho_levi = tuple(int(i + 1 in self.levi) for i in range(rs.rank))
         object.__setattr__(self, "rho_levi", rho_levi)
         nilradical = tuple(r for r in rs.positive_roots if self.is_nilradical(r))
-        nil_simple = {r.simple for r in nilradical}
         generating = tuple(
             r for r in nilradical
-            if not any(
-                tuple(a - b for a, b in zip(r.simple, s.simple)) in nil_simple
-                for s in nilradical
-                if s.height < r.height
-            )
+            if sum(c for c, in_levi in zip(r.simple, rho_levi) if not in_levi) == 1
         )
         object.__setattr__(self, "nilradical_roots", nilradical)
         object.__setattr__(self, "generating_roots", generating)

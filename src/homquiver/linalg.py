@@ -138,13 +138,6 @@ class Matrix:
         )
         return Matrix._of(out, self.rows, other.cols)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 

@@ -1,7 +1,7 @@
 """The quiver attached to a parabolic geometry.
 
 Vertices are p-dominant weights, and an arrow subtracts a nilradical
-root, one wherever both ends are vertices (see ``arrow_multiplicity``
+root, one wherever both ends are vertices (see ``levi.arrow_multiplicity``
 for why the Levi tensor multiplicity is always 0 or 1).  The quiver is
 infinite; computations work on finite forward windows.  Relation
 instances are only defined for the Borel case, where the relations are
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import ParabolicGeometry
-from .levi import arrow_multiplicity
 from .rootsystem import Root, RootSystem, Weight
 
 GENERATING = "generating"
@@ -69,9 +68,7 @@ def arrows_from(geom: ParabolicGeometry, lam: Weight) -> tuple:
     out = []
     for beta, kind in _arrow_kinds(geom):
         mu = tuple(a - b for a, b in zip(lam, beta.fund))
-        if not geom.is_p_dominant(mu):
-            continue
-        if arrow_multiplicity(geom, lam, mu) == 1:
+        if geom.is_p_dominant(mu):
             out.append(Arrow(lam, beta, mu, kind))
     return tuple(out)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+from .linalg import Matrix, solve_in_basis
 
 Weight = tuple  # integer vector in fundamental-weight coordinates
 
@@ -101,7 +102,10 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = cartan_matrix(cartan_type)
-        self.cartan_inverse = _invert(self.cartan_matrix)
+        # Fractions, from the one elimination kernel.
+        self.cartan_inverse = solve_in_basis(
+            Matrix(self.cartan_matrix), Matrix.identity(self.rank)
+        ).data
         # The invariant form on weights, scaled to integers:
         # gram[i][j] = gram_scale * (omega_i, omega_j).
         self.gram_scale = math.lcm(*(x.denominator for row in self.cartan_inverse for x in row))
@@ -126,22 +130,17 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
 
-    def _make_root(self, simple: tuple) -> Root:
-        fund = tuple(
-            sum(self.cartan_matrix[i][j] * simple[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        return Root(simple, fund)
-
     def _close_positive_roots(self) -> tuple:
         """Height-by-height closure from the simple roots.
 
         For distinct positive roots in the ADE case, beta + alpha_i is a
-        root exactly when (beta, alpha_i) = -1.
+        root exactly when (beta, alpha_i) = -1.  Fundamental coordinates
+        add along with simple ones, and a simple root's are its Cartan
+        row, so each new root costs O(rank).
         """
         simples = [
-            self._make_root(tuple(int(i == j) for j in range(self.rank)))
-            for i in range(self.rank)
+            Root(tuple(int(i == j) for j in range(self.rank)), row)
+            for i, row in enumerate(self.cartan_matrix)
         ]
         levels = [list(simples)]
         seen = {r.simple for r in simples}
@@ -155,7 +154,8 @@ class RootSystem:
                         )
                         if cand not in seen:
                             seen.add(cand)
-                            nxt.append(self._make_root(cand))
+                            fund = tuple(b + a for b, a in zip(beta.fund, alpha.fund))
+                            nxt.append(Root(cand, fund))
             levels.append(nxt)
         roots = [r for level in levels for r in level]
         roots.sort(key=lambda r: (r.height, r.simple))
@@ -204,11 +204,6 @@ class RootSystem:
             a * sum(g * b for g, b in zip(row, y)) for a, row in zip(x, self.gram) if a
         )
 
-    def reflect(self, lam: Weight, alpha: Root) -> Weight:
-        """Reflection of lam in the hyperplane orthogonal to alpha."""
-        c = self.inner(lam, alpha)
-        return tuple(x - c * a for x, a in zip(lam, alpha.fund))
-
     def simple_reflect(self, lam: Weight, i: int) -> Weight:
         """Reflection at the simple root alpha_i (1-based), a coordinate update."""
         c = lam[i - 1]
@@ -249,22 +244,6 @@ class RootSystem:
         if not self.is_root(s):
             return 0
         return self.asymmetry(av, bv)
-
-
-def _invert(mat: tuple) -> tuple:
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @lru_cache(maxsize=None)

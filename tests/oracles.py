@@ -13,6 +13,32 @@ from homquiver import QuiverRep, build_geometry, direct_sum, irreducible
 from homquiver.linalg import Matrix
 
 
+# ----- Helpers used only by the tests -------------------------------------
+
+
+def path_matrix(rep, src, roots):
+    """Composition of the arrows of rep from src in the given root order."""
+    src = tuple(src)
+    end = src
+    for root in roots:
+        end = tuple(a - b for a, b in zip(end, root.fund))
+    return rep.walk(src, roots, end)
+
+
+def transpose(mat):
+    return Matrix(
+        [[mat.data[i][j] for i in range(mat.rows)] for j in range(mat.cols)],
+        mat.cols,
+        mat.rows,
+    )
+
+
+def reflect(rs, lam, alpha):
+    """Reflection of the weight lam in the hyperplane orthogonal to the root alpha."""
+    c = rs.inner(lam, alpha)
+    return tuple(x - c * a for x, a in zip(lam, alpha.fund))
+
+
 def sl2_h0_oracle(rep):
     """Global sections of a quiver representation on the projective line.
 
@@ -158,6 +184,54 @@ def brute_force_h0_multiplicity(rep, lam):
     if not rows:
         return d
     return Matrix(rows, len(rows), d).nullity()
+
+
+# ----- References for the root data -----------------------------------------
+#
+# The library derives each root's fundamental coordinates by adding a
+# simple root's Cartan row, inverts the Cartan matrix with its one
+# elimination kernel and reads the generating roots off the grading; these
+# recompute the same data the direct way.
+
+
+def invert_oracle(mat):
+    """Inverse of an integer matrix by Gauss-Jordan over the Fractions."""
+    n = len(mat)
+    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                c = aug[i][col]
+                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def fund_oracle(rs, simple):
+    """Fundamental coordinates of a root, as the product C . simple."""
+    return tuple(
+        sum(rs.cartan_matrix[i][j] * simple[j] for j in range(rs.rank))
+        for i in range(rs.rank)
+    )
+
+
+def generating_roots_oracle(geom):
+    """Nilradical roots that are no sum of two nilradical roots, by a scan
+    over all pairs."""
+    nilradical = geom.nilradical_roots
+    nil_simple = {r.simple for r in nilradical}
+    return tuple(
+        r for r in nilradical
+        if not any(
+            tuple(a - b for a, b in zip(r.simple, s.simple)) in nil_simple
+            for s in nilradical
+            if s.height < r.height
+        )
+    )
 
 
 # ----- Fraction references for the integer combinatorial core --------------

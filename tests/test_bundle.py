@@ -26,7 +26,7 @@ from homquiver import (
 )
 from homquiver.linalg import Matrix
 
-from .oracles import random_consistent_rep
+from .oracles import path_matrix, random_consistent_rep
 
 
 def scalar(v):
@@ -319,7 +319,7 @@ def test_gabriel_counts_match_ranks_randomly():
         direction = dec.path.direction
         for lo in range(len(chain)):
             for hi in range(lo, len(chain)):
-                mat = rep.path_matrix(chain[lo], (direction,) * (hi - lo))
+                mat = path_matrix(rep, chain[lo], (direction,) * (hi - lo))
                 spanning = sum(
                     m for (i, j), m in dec.intervals if i <= lo and hi <= j
                 )

@@ -11,6 +11,8 @@ from homquiver.linalg import (
     span_intersection,
 )
 
+from .oracles import transpose
+
 
 def span_contains(basis, vector) -> bool:
     """Whether vector lies in the span of basis (all of common length)."""
@@ -43,7 +45,7 @@ def test_shape_and_immutability():
 def test_zero_dimensional_shapes():
     a = Matrix.zeros(0, 3)
     b = Matrix.zeros(3, 0)
-    assert (a @ a.transpose()).rows == 0
+    assert (a @ transpose(a)).rows == 0
     assert (b @ a).rows == 3 and (b @ a).cols == 3
     assert (b @ a).is_zero()
     assert a.rank() == 0

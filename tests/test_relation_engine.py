@@ -20,6 +20,8 @@ from homquiver.quiver import (
     support_relation_instances,
 )
 
+from .oracles import path_matrix
+
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SMALL_TYPES = ("A2", "A3", "A4", "D4", "D5", "E6")
 ALL_TYPES = ("A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8")
@@ -76,7 +78,7 @@ def dense_check(rep):
         if rep.dim(inst.source) == 0 or rep.dim(end) == 0:
             continue
         lam, beta, gamma = inst.source, inst.beta, inst.gamma
-        res = rep.path_matrix(lam, (gamma, beta)) - rep.path_matrix(lam, (beta, gamma))
+        res = path_matrix(rep, lam, (gamma, beta)) - path_matrix(rep, lam, (beta, gamma))
         if inst.coefficient:
             delta = rs.root(tuple(a + b for a, b in zip(beta.simple, gamma.simple)))
             res = res - rep.arrow(lam, delta).scale(inst.coefficient)
