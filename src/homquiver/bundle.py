@@ -7,6 +7,18 @@ relations with Chevalley coefficients cut out exactly the representations
 coming from bundles, and the non-generating ("derived") arrow matrices
 are determined by the generating ones: ``solve_derived_arrows`` performs
 that completion or reports the violated instances.
+
+Whether the relations hold is decided by Serre's theorem (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, 18.1-18.3):
+``relations_hold`` checks the Serre relations on the simple arrows and
+one bracket per non-simple arrow.  The simple arrows then define a Lie
+algebra map phi from n^-, and by induction on height each given arrow
+f_delta = (1/N)[f_beta, f_gamma] is phi(e_-delta), so every bracket
+relation holds as it does in n^- (the ``quiver`` module docstring has
+the proof sketch).  The gate ``require_valid`` calls
+``check_relations(rep, serre=True)``, which decides first and enumerates
+every relation instance only to list the violated ones once the decision
+fails.
 """
 
 from __future__ import annotations
@@ -22,7 +34,13 @@ from .linalg import (
     solve_in_basis,
     span_intersection,
 )
-from .quiver import RelationInstance, relation_table, support_relation_instances
+from .quiver import (
+    RelationInstance,
+    derived_relations,
+    first_decompositions,
+    serre_relations,
+    support_relation_instances,
+)
 from .rootsystem import Root, Weight
 
 
@@ -161,17 +179,60 @@ def _residual(rep: QuiverRep, inst: RelationInstance, end: Weight,
     return res
 
 
-def check_relations(rep: QuiverRep) -> list:
-    """Violated relation instances of a Borel representation (empty = ok)."""
+def _relations_vanish(rep: QuiverRep, relations) -> bool:
+    """Whether each relation vanishes at every support vertex whose end
+    lies in the support (relations as in ``quiver.serre_relations``)."""
+    for lam in rep.support:
+        for shift, terms in relations:
+            end = tuple(a - b for a, b in zip(lam, shift))
+            if end not in rep.support:
+                continue
+            total = None
+            for coef, path in terms:
+                mat = rep.walk(lam, path, end)
+                if coef != 1:
+                    mat = mat.scale(coef)
+                total = mat if total is None else total + mat
+            if not total.is_zero():
+                return False
+    return True
+
+
+def relations_hold(rep: QuiverRep) -> bool:
+    """Whether a structurally valid Borel representation satisfies every
+    relation instance: the Serre relations on the simple arrows, and each
+    non-simple arrow equal to its bracket on the first decomposition."""
     geom = rep.geometry
     if not geom.is_borel:
         raise ValueError("relations are only known for the Borel parabolic")
+    rs = geom.root_system
+    return _relations_vanish(rep, serre_relations(rs) + derived_relations(rs))
+
+
+def check_relations(rep: QuiverRep, serre: bool = False) -> list:
+    """Violated relation instances of a Borel representation (empty = ok).
+
+    Every instance whose source and end lie in the support is enumerated.
+    With ``serre``, for a structurally valid representation only,
+    ``relations_hold`` decides first and the enumeration runs only to list
+    the instances of a rejected one; the result is the same.
+    """
+    geom = rep.geometry
+    if not geom.is_borel:
+        raise ValueError("relations are only known for the Borel parabolic")
+    if serre and relations_hold(rep):
+        return []
     violated = []
     for inst, end, delta in support_relation_instances(geom, rep.support):
         if rep.dim(inst.source) == 0 or rep.dim(end) == 0:
             continue  # residual lands in a zero space
         if not _residual(rep, inst, end, delta).is_zero():
             violated.append(inst)
+    if serre and not violated:
+        raise AssertionError(
+            "relations_hold rejects a representation whose every "
+            "relation instance holds"
+        )
     return violated
 
 
@@ -179,13 +240,14 @@ def require_valid(rep: QuiverRep) -> None:
     """The validation gate: structural checks, then relations on the Borel.
 
     Raises ValueError listing the structural errors, or RelationError
-    carrying the violated relation instances.
+    carrying the violated relation instances.  The Serre criterion decides
+    the relations; only a rejected representation pays for listing them.
     """
     errors = validate(rep)
     if errors:
         raise ValueError("; ".join(errors))
     if rep.geometry.is_borel:
-        violated = check_relations(rep)
+        violated = check_relations(rep, serre=True)
         if violated:
             raise RelationError(violated)
 
@@ -193,9 +255,10 @@ def require_valid(rep: QuiverRep) -> None:
 def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     """Complete generating-arrow data to a full Borel representation.
 
-    Derived arrows are computed by increasing root height from bracket
-    decompositions of their directions; afterwards every relation instance
-    is checked, and a RelationError carrying the violated instances is
+    Derived arrows are computed by increasing root height from the first
+    bracket decompositions of their directions, so they satisfy the
+    derived relations by construction; afterwards the Serre relations
+    are checked, and a RelationError carrying the violated instances is
     raised when no consistent completion exists.  Non-generating arrows
     present in the input are ignored and recomputed.
     """
@@ -208,12 +271,7 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
         key: mat for key, mat in rep.arrows.items() if key[1] in simples
     }
     work = QuiverRep(geom, rep.support, arrows)
-    table = relation_table(rs)
-    for delta in rs.positive_roots:
-        if delta.height < 2:
-            continue
-        # the first decomposition delta = beta + gamma in root-pair order
-        _, _, beta, gamma, n = table[delta.fund][1][0]
+    for delta, (beta, gamma, n) in first_decompositions(rs).items():
         for lam in sorted(rep.support):
             tgt = tuple(a - b for a, b in zip(lam, delta.fund))
             if tgt not in rep.support:
@@ -223,9 +281,12 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
             mat = (m_gb - m_bg).scale(Fraction(1, n))
             if not mat.is_zero():
                 work.arrows[(lam, delta)] = mat
-    violated = check_relations(work)
-    if violated:
-        raise RelationError(violated)
+    # The Serre check needs well-formed arrows; otherwise the full
+    # enumeration reports, as it does for a rejected completion.
+    if validate(work) or not _relations_vanish(work, serre_relations(rs)):
+        violated = check_relations(work)
+        if violated:
+            raise RelationError(violated)
     return work
 
 

@@ -3,12 +3,31 @@
 Vertices are p-dominant weights, and an arrow subtracts a nilradical
 root, one wherever both ends are vertices (see ``levi.arrow_multiplicity``
 for why the Levi tensor multiplicity is always 0 or 1).  The quiver is
-infinite; computations work on finite forward windows.  Relation
-instances are only defined for the Borel case, where the relations are
-the Serre-type commutation relations with Chevalley coefficients.  An
-instance at lam for the pair {beta, gamma} ends at lam - beta - gamma, so
-the instances between two support vertices are read off a per-root-system
-table of the pairs with a given sum.
+infinite; computations work on finite forward windows.
+
+Relations are only defined for the Borel case.  There the arrows in
+direction beta act as the Chevalley basis vector e_-beta of n^-, written
+f_beta, and the relations are the commutation relations
+[f_beta, f_gamma] = N(-beta, -gamma) f_(beta+gamma).  An instance at lam
+for the pair {beta, gamma} ends at lam - beta - gamma, so the instances
+between two support vertices are read off a per-root-system table of the
+pairs with a given sum (``relation_table``).
+
+Deciding whether every instance holds needs far fewer equations, by
+Serre's theorem (Humphreys, *Introduction to Lie Algebras and
+Representation Theory*, 18.1-18.3): n^- is generated by the e_-alpha_i
+subject only to [e_-i, e_-j] = 0 for non-adjacent i, j and
+ad(e_-i)^2 e_-j = 0 for adjacent i, j.  Proof sketch: if the simple
+arrows f_i satisfy these (``serre_relations``), there is a Lie algebra
+map phi from n^- with phi(e_-alpha_i) = f_i.  If moreover each
+non-simple arrow equals f_delta = (1/N)[f_beta, f_gamma] for one
+decomposition delta = beta + gamma, N = N(-beta, -gamma)
+(``derived_relations`` on ``first_decompositions``), then by induction
+on the height of delta, f_delta = (1/N)[phi(e_-beta), phi(e_-gamma)] =
+phi(e_-delta).  So the arrows are the image of n^- under phi, and every
+bracket relation holds because it holds in n^-.  Conversely the Serre
+relations follow from the instances and the derived relations are
+instances, so the two conditions hold exactly when every instance does.
 """
 
 from __future__ import annotations
@@ -146,6 +165,63 @@ def relation_table(rs: RootSystem) -> dict:
                 table[key] = (rs.root(total), [])
             table[key][1].append((i, j, beta, gamma, rs.chevalley(-beta, -gamma)))
     return {key: (delta, tuple(entries)) for key, (delta, entries) in table.items()}
+
+
+@lru_cache(maxsize=None)
+def first_decompositions(rs: RootSystem) -> dict:
+    """Each non-simple positive root delta -> (beta, gamma, N(-beta, -gamma)).
+
+    delta = beta + gamma is the first decomposition in root-pair order,
+    the first entry of ``relation_table`` at delta.  Scanning beta in root
+    order and looking up delta - beta finds it: were gamma earlier than
+    beta, the scan would have stopped at gamma.  Keys come in root order,
+    so by increasing height.  Cached and shared; callers must not mutate.
+    """
+    out = {}
+    for delta in rs.positive_roots:
+        for beta in rs.positive_roots:
+            gamma = rs.root(tuple(d - b for d, b in zip(delta.simple, beta.simple)))
+            if gamma is not None and gamma.is_positive:
+                out[delta] = (beta, gamma, rs.chevalley(-beta, -gamma))
+                break
+    return out
+
+
+# A relation is (shift, terms): at a vertex lam whose end lam - shift lies
+# in the support, the sum of coef * (composition of arrows from lam along
+# path) over the (coef, path) terms vanishes.  Paths list roots in the
+# order the arrows are applied.
+
+
+@lru_cache(maxsize=None)
+def serre_relations(rs: RootSystem) -> tuple:
+    """The Serre relations of n^- on the simple arrows f_i.
+
+    [f_i, f_j] = 0 for non-adjacent i < j, and for adjacent i, j (each
+    order) f_i f_i f_j - 2 f_i f_j f_i + f_j f_i f_i = 0.
+    """
+    simple = [rs.simple_root(i + 1) for i in range(rs.rank)]
+    out = []
+    for i, a in enumerate(simple):
+        for j, b in enumerate(simple):
+            if i == j:
+                continue
+            if rs.cartan_matrix[i][j]:
+                shift = tuple(2 * x + y for x, y in zip(a.fund, b.fund))
+                out.append((shift, ((1, (b, a, a)), (-2, (a, b, a)), (1, (a, a, b)))))
+            elif i < j:
+                shift = tuple(x + y for x, y in zip(a.fund, b.fund))
+                out.append((shift, ((1, (a, b)), (-1, (b, a)))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def derived_relations(rs: RootSystem) -> tuple:
+    """N f_delta = [f_beta, f_gamma] for each first decomposition of delta."""
+    return tuple(
+        (delta.fund, ((1, (gamma, beta)), (-1, (beta, gamma)), (-n, (delta,))))
+        for delta, (beta, gamma, n) in first_decompositions(rs).items()
+    )
 
 
 def support_relation_instances(geom: ParabolicGeometry, support):

@@ -246,12 +246,18 @@ class RootSystem:
         return self.asymmetry(av, bv)
 
 
-@lru_cache(maxsize=None)
 def build_root_system(cartan_type) -> RootSystem:
     """Construct (and cache) the root system of the given Cartan type.
 
-    Accepts a CartanType or a string such as "A2" or "E6".
+    Accepts a CartanType or a string such as "A2" or "E6".  The string is
+    parsed before the cache lookup, so both spellings of a type share one
+    build.
     """
     if isinstance(cartan_type, str):
         cartan_type = CartanType.parse(cartan_type)
+    return _root_system(cartan_type)
+
+
+@lru_cache(maxsize=None)
+def _root_system(cartan_type: CartanType) -> RootSystem:
     return RootSystem(cartan_type)

@@ -286,3 +286,15 @@ def test_h0_cost_does_not_grow_with_coordinate_size(tmp_path):
         "weight=1000000,0 mult=1 dim=500001500001\ntotal=500001500001\n"
     )
     assert elapsed < 1.0, elapsed
+
+
+def test_h0_of_e8_tangent_within_budget():
+    # the relation gate decides from the Serre presentation; enumerating
+    # every relation instance of the E8 tangent bundle took about 2.7 s
+    import time
+
+    start = time.perf_counter()
+    result = h0(tangent(build_geometry("E8")))
+    elapsed = time.perf_counter() - start
+    assert result.total_dimension == 248
+    assert elapsed < 2.0, elapsed

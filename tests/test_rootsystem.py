@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from homquiver import rootsystem
 from homquiver.rootsystem import CartanType, build_root_system
 
 from .oracles import reflect
@@ -25,6 +26,16 @@ def test_cartan_type_parsing():
     for bad in ("B2", "A0", "D3", "E9", "A", "2A", "a2 "):
         with pytest.raises(ValueError):
             CartanType.parse(bad)
+
+
+def test_string_and_cartan_type_share_one_build():
+    before = rootsystem._root_system.cache_info()
+    by_name = build_root_system("A20")
+    by_type = build_root_system(CartanType("A", 20))
+    after = rootsystem._root_system.cache_info()
+    assert by_name is by_type
+    assert after.hits == before.hits + 1
+    assert after.misses <= before.misses + 1
 
 
 @pytest.mark.parametrize("name,count", sorted(POSITIVE_ROOT_COUNTS.items()))

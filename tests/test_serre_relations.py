@@ -1,0 +1,239 @@
+"""The Serre decision ``relations_hold`` against the full instance enumeration.
+
+``relations_hold`` checks the Serre relations on the simple arrows and one
+bracket per non-simple arrow; ``check_relations`` enumerates every relation
+instance, and ``check_relations(rep, serre=True)``, the validation gate,
+enumerates only once the decision fails.  On a structurally valid Borel
+representation they must agree: the decision passes exactly when the
+enumeration finds no violated instance.  The representations below are
+fixtures, tangent and cotangent bundles with seeded perturbations, and
+"boxes": random simple arrows on a block of weights, completed by the
+brackets, where only a Serre relation can fail.
+"""
+
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from homquiver import (
+    QuiverRep,
+    build_geometry,
+    check_relations,
+    cotangent,
+    direct_sum,
+    load_rep,
+    tangent,
+    validate,
+)
+from homquiver import bundle as bundle_mod
+from homquiver.bundle import relations_hold
+from homquiver.linalg import Matrix
+from homquiver.quiver import first_decompositions, relation_table
+
+from .oracles import conjugate, path_matrix, random_invertible
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+VIOLATED_FIXTURES = {"B_s0", "B_s1", "B_s3", "L_ell1"}
+BUNDLE_TYPES = ("A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6")
+TABLE_TYPES = tuple(f"A{n}" for n in range(1, 9)) + tuple(
+    f"D{n}" for n in range(4, 9)
+) + ("E6", "E7", "E8")
+
+
+def agree(rep) -> bool:
+    """Assert the decision equals the enumeration's verdict; return it."""
+    assert validate(rep) == []
+    violated = check_relations(rep)
+    holds = violated == []
+    assert relations_hold(rep) == holds
+    assert check_relations(rep, serre=True) == violated
+    return holds
+
+
+def _target(src, root):
+    return tuple(a - b for a, b in zip(src, root.fund))
+
+
+def _is_simple(root):
+    return root.height == 1
+
+
+def complete(rep):
+    """Replace the non-simple arrows by the brackets of the simple ones.
+
+    Derived arrows are built by increasing height from the first entry of
+    ``relation_table`` at each root, so every derived relation holds and
+    only a Serre relation of the simple arrows can fail.
+    """
+    rs = rep.geometry.root_system
+    table = relation_table(rs)
+    arrows = {k: m for k, m in rep.arrows.items() if _is_simple(k[1])}
+    work = QuiverRep(rep.geometry, rep.support, arrows)
+    for delta in rs.positive_roots:
+        if delta.height < 2:
+            continue
+        _, _, beta, gamma, n = table[delta.fund][1][0]
+        for lam in rep.support:
+            if _target(lam, delta) not in rep.support:
+                continue
+            mat = path_matrix(work, lam, (gamma, beta)) - path_matrix(work, lam, (beta, gamma))
+            if not mat.is_zero():
+                work.arrows[(lam, delta)] = mat.scale(Fraction(1, n))
+    return work
+
+
+def box(geom, rng, depth=2):
+    """Random simple arrows on the weights -sum c_i alpha_i, 0 <= c_i <= depth,
+    with at most depth + 1 steps in all, completed by ``complete``."""
+    rs = geom.root_system
+    simple = [rs.simple_root(i + 1) for i in range(rs.rank)]
+    support = {}
+    for cs in itertools.product(range(depth + 1), repeat=rs.rank):
+        if sum(cs) <= depth + 1:
+            lam = tuple(-sum(c * a.fund[k] for c, a in zip(cs, simple)) for k in range(rs.rank))
+            support[lam] = 1
+    arrows = {
+        (lam, a): Matrix([[rng.randint(-2, 2)]])
+        for lam in support
+        for a in simple
+        if _target(lam, a) in support
+    }
+    return complete(QuiverRep(geom, support, arrows))
+
+
+def _with(rep, key, mat):
+    """rep with the arrow at key replaced by mat (None: dropped); a new
+    target vertex gets dimension mat.rows."""
+    support, arrows = dict(rep.support), dict(rep.arrows)
+    if mat is None:
+        del arrows[key]
+    else:
+        arrows[key] = mat
+        support.setdefault(_target(*key), mat.rows)
+    return QuiverRep(rep.geometry, support, arrows)
+
+
+def perturbations(rep, rng):
+    """Seeded variants of rep: for simple and for non-simple directions, a
+    scaled arrow and a dropped arrow (where one exists) and an added arrow.  An added arrow may
+    lead to a new vertex (a tangent bundle has every arrow its support
+    allows)."""
+    rs = rep.geometry.root_system
+    out = []
+    for simple in (True, False):
+        present = sorted(k for k in rep.arrows if _is_simple(k[1]) == simple)
+        if present:
+            key = rng.choice(present)
+            out.append(_with(rep, key, rep.arrows[key].scale(rng.choice((-1, 2, 3)))))
+            out.append(_with(rep, rng.choice(present), None))
+        absent = sorted(
+            (lam, root)
+            for lam in rep.support
+            for root in rs.positive_roots
+            if _is_simple(root) == simple and (lam, root) not in rep.arrows
+        )
+        lam, root = rng.choice(absent)
+        rows, cols = rep.support.get(_target(lam, root), 1), rep.support[lam]
+        mat = Matrix([[rng.choice((-1, 1, 2)) for _ in range(cols)] for _ in range(rows)])
+        out.append(_with(rep, (lam, root), mat))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_fixtures_agree(path):
+    assert agree(load_rep(path)) == (path.stem not in VIOLATED_FIXTURES)
+
+
+@pytest.mark.parametrize("type_name", BUNDLE_TYPES)
+def test_tangent_and_cotangent_with_perturbations_agree(type_name):
+    g = build_geometry(type_name)
+    rng = random.Random(f"serre-{type_name}")
+    verdicts = []
+    for rep in (tangent(g), cotangent(g)):
+        assert agree(rep)
+        variants = perturbations(rep, rng)
+        verdicts.extend(agree(v) for v in variants)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("type_name", ("A2", "A3", "D4"))
+def test_boxes_agree(type_name):
+    # A box only fails a Serre relation, so it separates the Serre check
+    # from the bracket check; on A2 the only Serre relations are the
+    # ad(f_i)^2 f_j ones.
+    g = build_geometry(type_name)
+    rng = random.Random(f"box-{type_name}")
+    verdicts = [agree(box(g, rng)) for _ in range(6)]
+    zero = QuiverRep(g, box(g, rng).support)
+    assert agree(zero)
+    assert not all(verdicts)
+
+
+def test_conjugated_sums_agree():
+    g = build_geometry("A3")
+    rng = random.Random(7)
+    rep = direct_sum(tangent(g), cotangent(g), tangent(g))
+    rep = conjugate(rep, {lam: random_invertible(rng, d) for lam, d in rep.support.items()})
+    assert agree(rep)
+    assert not all(agree(v) for v in perturbations(rep, rng))
+
+
+def test_decision_rejecting_a_consistent_bundle_is_an_error(monkeypatch):
+    # the enumeration double-checks every rejection; an empty list there is
+    # a fault of the decision, raised even under python -O
+    rep = tangent(build_geometry("A2"))
+    monkeypatch.setattr(bundle_mod, "relations_hold", lambda _: False)
+    with pytest.raises(AssertionError, match="relations_hold rejects"):
+        check_relations(rep, serre=True)
+
+
+@pytest.mark.parametrize("type_name", TABLE_TYPES)
+def test_first_decompositions_are_first_table_entries(type_name):
+    rs = build_geometry(type_name).root_system
+    first = first_decompositions(rs)
+    expected = {
+        delta: entries[0][2:]
+        for delta, entries in relation_table(rs).values()
+        if delta is not None
+    }
+    assert first == expected
+    assert list(first) == [r for r in rs.positive_roots if r.height >= 2]
+
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=120,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(
+    type_name=st.sampled_from(("A2", "A3", "D4")),
+    base=st.sampled_from(("tangent", "cotangent", "sum", "box")),
+    seed=st.integers(0, 10**6),
+    variant=st.integers(0, 6),
+)
+def test_fuzz_perturbed_consistent_bundles(type_name, base, seed, variant):
+    g = build_geometry(type_name)
+    rng = random.Random(seed)
+    if base == "box":
+        rep = box(g, rng, depth=1 if type_name == "D4" else 2)
+    else:
+        rep = tangent(g) if base in ("tangent", "sum") else cotangent(g)
+        if base == "sum":
+            rep = direct_sum(rep, cotangent(g))
+        rep = conjugate(rep, {lam: random_invertible(rng, d) for lam, d in rep.support.items()})
+    variants = perturbations(rep, rng)
+    if variant < len(variants):
+        rep = variants[variant]
+        if rng.random() < 0.3:
+            rep = complete(rep)
+    agree(rep)
