@@ -329,18 +329,15 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
     keys = sorted({k for r in reps for k in r.arrows})
     for src, root in keys:
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        block = [
-            [Fraction(0)] * support[src] for _ in range(support[tgt])
-        ]
+        block = [[0] * support[src] for _ in range(support[tgt])]
         for r, off in zip(reps, offsets):
             mat = r.arrows.get((src, root))
             if mat is None:
                 continue
             ro = off.get(tgt, 0)
             co = off.get(src, 0)
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    block[ro + i][co + j] = mat.data[i][j]
+            for i, row in enumerate(mat.data):
+                block[ro + i][co : co + mat.cols] = row
         arrows[(src, root)] = Matrix(block, support[tgt], support[src])
     return QuiverRep(geom, support, arrows)
 
@@ -394,23 +391,35 @@ def _seed_spans(rep: QuiverRep, seeds) -> dict:
     }
 
 
+def _arrows_by_height(rep: QuiverRep, descending: bool) -> list:
+    """The arrows of rep sorted by the height (lam, rho) of their source.
+
+    An arrow lam -> lam - beta has beta positive, so it lowers the height
+    by gram_scale * ht(beta) > 0: every arrow into a vertex starts higher
+    than every arrow out of it.
+    """
+    rs = rep.geometry.root_system
+    return sorted(
+        rep.arrows.items(),
+        key=lambda item: rs.scaled_inner(item[0][0], rs.rho),
+        reverse=descending,
+    )
+
+
 def _span_dict(rep: QuiverRep, seeds) -> dict:
-    """Forward closure of the full seed spaces under arrow images."""
+    """Forward closure of the full seed spaces under arrow images.
+
+    One pass over the arrows in decreasing source height suffices: every
+    arrow into a source starts higher, so the span at the source is final
+    before its images are pushed to the lower target.
+    """
     spans = _seed_spans(rep, seeds)
-    changed = True
-    while changed:
-        changed = False
-        for (src, root), mat in rep.arrows.items():
-            tgt = tuple(a - b for a, b in zip(src, root.fund))
-            if not spans[src]:
-                continue
-            images = (mat @ Matrix.from_columns(spans[src], mat.cols)).columns()
-            new = row_space_basis(spans[tgt] + images, rep.support[tgt])
-            if len(new) != len(spans[tgt]):
-                spans[tgt] = new
-                changed = True
-            else:
-                spans[tgt] = new
+    for (src, root), mat in _arrows_by_height(rep, descending=True):
+        if not spans[src]:
+            continue
+        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        images = (mat @ Matrix.from_columns(spans[src], mat.cols)).columns()
+        spans[tgt] = row_space_basis(spans[tgt] + images, rep.support[tgt])
     return spans
 
 
@@ -435,26 +444,34 @@ def subrep_generated(rep: QuiverRep, seeds) -> QuiverRep:
     return _restrict_to_spans(rep, _span_dict(rep, seeds))
 
 
-def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
-    """Quotient by the largest subrepresentation whose every path image
-    stays inside the seed spaces.
+def _colon_kernel(rep: QuiverRep, seeds) -> dict:
+    """Bases of the largest subrepresentation whose every path image
+    stays inside the full seed spaces.
 
-    The kernel is computed as a backward fixpoint of arrow preimages; the
-    quotient representation acts on complement coordinates.
+    This is the backward fixpoint of arrow preimages, computed in one pass
+    over the arrows in increasing source height: every arrow out of a
+    target starts lower than the arrow into it, so the kernel at the
+    target is final before its preimage cuts down the source.
     """
     spans = _seed_spans(rep, seeds)
-    changed = True
-    while changed:
-        changed = False
-        for (src, root), mat in rep.arrows.items():
-            tgt = tuple(a - b for a, b in zip(src, root.fund))
-            if not spans[src]:
-                continue
-            pre = preimage_basis(mat, spans[tgt])
-            new = span_intersection(spans[src], pre, rep.support[src])
-            if len(new) != len(spans[src]):
-                spans[src] = new
-                changed = True
+    for (src, root), mat in _arrows_by_height(rep, descending=False):
+        if not spans[src]:
+            continue
+        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        pre = preimage_basis(mat, spans[tgt])
+        spans[src] = span_intersection(spans[src], pre, rep.support[src])
+    return spans
+
+
+def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
+    """Quotient by the largest subrepresentation whose every path image
+    stays inside the seed spaces (``_colon_kernel``)."""
+    return _quotient(rep, _colon_kernel(rep, seeds))
+
+
+def _quotient(rep: QuiverRep, spans: dict) -> QuiverRep:
+    """Quotient by arrow-invariant subspaces given by bases, acting on
+    complement coordinates."""
     # Quotient coordinates: extend each kernel basis by the standard
     # vectors at the pivot columns of [kernel | I] past the kernel block.
     support = {}
@@ -465,12 +482,16 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
         k = len(cols)
         if k == d:
             continue
+        support[lam] = d - k
+        if not k:
+            # Every column of [I] is a pivot, so proj and sect are I.
+            proj[lam] = sect[lam] = Matrix.identity(d)
+            continue
         eye = Matrix.identity(d).columns()
         pivots = Matrix.from_columns(cols + eye, d).rref()[1]
         chosen = [eye[p - k] for p in pivots[k:]]
         full = Matrix.from_columns(cols + chosen, d)
         inv = solve_in_basis(full, Matrix.identity(d))
-        support[lam] = d - k
         # Rows of inv past the kernel block give quotient coordinates.
         proj[lam] = Matrix(inv.data[k:], d - k, d)
         sect[lam] = Matrix.from_columns(chosen, d)
@@ -512,6 +533,21 @@ class GabrielDecomposition:
     intervals: tuple  # ((start, end), multiplicity), 0-based inclusive positions
 
 
+def _chain_step(diff: Weight, fund: Weight):
+    """The q >= 0 with diff == q * fund, or None when there is none."""
+    q = None
+    for d, b in zip(diff, fund):
+        if b == 0:
+            if d != 0:
+                return None
+            continue
+        k, rem = divmod(d, b)
+        if rem or k < 0 or (q is not None and k != q):
+            return None
+        q = k
+    return q
+
+
 def is_am_type(rep: QuiverRep):
     """The chain structure of the support, or None if it is not a chain."""
     verts = sorted(rep.support)
@@ -522,25 +558,12 @@ def is_am_type(rep: QuiverRep):
     for beta in rep.geometry.nilradical_roots:
         top = max(verts, key=lambda v: sum(x * y for x, y in zip(v, beta.simple)))
         steps = {}
-        ok = True
         for v in verts:
-            diff = tuple(a - b for a, b in zip(top, v))
-            qs = set()
-            for d, b in zip(diff, beta.fund):
-                if b == 0:
-                    if d != 0:
-                        qs.add(None)
-                else:
-                    qs.add(Fraction(d, b))
-            if len(qs) != 1:
-                ok = False
+            q = _chain_step(tuple(a - b for a, b in zip(top, v)), beta.fund)
+            if q is None:
                 break
-            (q,) = qs
-            if q is None or q.denominator != 1 or q < 0:
-                ok = False
-                break
-            steps[int(q)] = v
-        if ok:
+            steps[q] = v
+        else:
             m = max(steps)
             chain = tuple(
                 tuple(a - p * b for a, b in zip(top, beta.fund))
@@ -572,10 +595,12 @@ def gabriel_decompose(rep: QuiverRep) -> GabrielDecomposition:
             mat = rep.arrow(chain[j - 1], path.direction) @ mat
             comp[(i, j)] = mat
 
+    ranks = {key: mat.rank() for key, mat in comp.items()}
+
     def r(i, j):
         if i < 0 or j >= m or i > j:
             return 0
-        return comp[(i, j)].rank()
+        return ranks[(i, j)]
 
     intervals = []
     for i in range(m):

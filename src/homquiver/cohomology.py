@@ -121,12 +121,14 @@ def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix:
 
 def _section_multiplicities(rep: QuiverRep) -> dict:
     """Kernel dimension of the stacked pairing maps at each dominant vertex."""
-    pairings = find_pairings(rep)
+    by_source = {}
+    for p in find_pairings(rep):
+        by_source.setdefault(p.source, []).append(p)
     out = {}
     for lam in sorted(rep.support):
         if any(c < 0 for c in lam):
             continue
-        mats = [compose_path(rep, p) for p in pairings if p.source == lam]
+        mats = [compose_path(rep, p) for p in by_source.get(lam, ())]
         if not mats:
             out[lam] = rep.support[lam]
             continue

@@ -2,36 +2,46 @@
 
 Everything downstream (relation checking, kernel dimensions, Gabriel
 decompositions) is decided by exact ranks and kernels, so no floating
-point is allowed anywhere.  Ranks, reduced row echelon forms, kernels
-and solves all come from one elimination kernel, ``Matrix._eliminate``:
-fraction-free Gauss-Jordan on integer-cleared rows, whose result is the
-unique reduced row echelon form.
+point is allowed anywhere.
+
+A ``Matrix`` is stored as integer numerator rows ``num`` over one
+positive common denominator ``den``; entry (i, j) is ``num[i][j] / den``.
+The pair is kept in canonical form: ``den > 0``, the gcd of ``den`` and
+all numerators is 1, and so a zero (or empty) matrix has ``den == 1``.
+Equal matrices therefore have equal ``(num, den)``, products, sums and
+scalings run on Python ints, and ``Fraction``s appear only at the
+boundary: the constructor accepts anything ``Fraction`` does, and
+``data``, ``column``, ``columns`` and ``nullspace`` return Fractions.
+
+Ranks, reduced row echelon forms, kernels and solves all come from one
+elimination kernel, ``Matrix._eliminate``: fraction-free Gauss-Jordan
+(Bareiss, Math. Comp. 22, 1968) on the stored numerators, whose result
+is the unique reduced row echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions with explicit shape.
+    """Immutable dense rational matrix with explicit shape.
 
     The explicit shape matters: zero-row and zero-column matrices occur
     naturally (absent vertices of a quiver representation act as zero
     spaces) and must compose with correct dimensions.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data, rows=None, cols=None):
-        data = tuple(tuple(_frac(x) for x in row) for row in data)
+        data = [
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in data
+        ]
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -40,38 +50,67 @@ class Matrix:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("ragged or mis-shaped matrix data")
+        # The lcm of reduced denominators is already canonical: for each
+        # prime p of den, the entry with the largest power of p in its
+        # denominator keeps a numerator prime to p.
+        den = lcm(*(x.denominator for row in data for x in row))
+        num = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
+        )
+        self._set(num, den, rows, cols)
+
+    def _set(self, num, den, rows, cols):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _of(cls, data: tuple, rows: int, cols: int) -> "Matrix":
-        """Wrap rows that are already tuples of Fractions of the given shape,
-        skipping the conversion and shape checks of the constructor."""
+    def _reduced(cls, num, den: int, rows: int, cols: int) -> "Matrix":
+        """The matrix num / den (integer rows, nonzero den of either sign),
+        brought to canonical form; shapes are the caller's guarantee."""
+        g = gcd(den, *chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        else:
+            num = tuple(map(tuple, num))
         mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "cols", cols)
-        object.__setattr__(mat, "data", data)
+        mat._set(num, den, rows, cols)
         return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], rows, cols)
+        mat = object.__new__(cls)
+        mat._set(((0,) * cols,) * rows, 1, rows, cols)
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n, n)
+        num = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        mat = object.__new__(cls)
+        mat._set(num, 1, n, n)
+        return mat
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "Matrix":
         cols = len(columns)
         return cls([[columns[j][i] for j in range(cols)] for i in range(rows)], rows, cols)
 
+    @property
+    def data(self) -> tuple:
+        """The entries as rows of Fractions (built on each access)."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
     def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        den = self.den
+        return tuple(Fraction(row[j], den) for row in self.num)
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
@@ -81,46 +120,39 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        """self + sign * other over the least common denominator."""
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Matrix._of(
-            tuple(
-                tuple(a + b for a, b in zip(r, s))
-                for r, s in zip(self.data, other.data)
-            ),
-            self.rows,
-            self.cols,
+            raise ValueError(f"shape mismatch in {what}")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        num = tuple(
+            tuple(fa * a + fb * b for a, b in zip(r, s))
+            for r, s in zip(self.num, other.num)
         )
+        return Matrix._reduced(num, den, self.rows, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return Matrix._of(
-            tuple(
-                tuple(a - b for a, b in zip(r, s))
-                for r, s in zip(self.data, other.data)
-            ),
-            self.rows,
-            self.cols,
-        )
+        return self._combine(other, -1, "subtraction")
 
     def scale(self, c) -> "Matrix":
-        c = _frac(c)
-        return Matrix._of(
-            tuple(tuple(c * x for x in row) for row in self.data),
-            self.rows,
-            self.cols,
-        )
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        p = c.numerator
+        num = tuple(tuple(p * x for x in row) for row in self.num)
+        return Matrix._reduced(num, self.den * c.denominator, self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -128,36 +160,35 @@ class Matrix:
                 f"shape mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        columns = tuple(zip(*other.data)) or ((),) * other.cols
-        out = tuple(
-            tuple(
-                sum((a * b for a, b in zip(row, col)), Fraction(0))
-                for col in columns
-            )
-            for row in self.data
+        columns = tuple(zip(*other.num)) or ((),) * other.cols
+        num = tuple(
+            tuple([sum(map(mul, row, col)) for col in columns]) for row in self.num
         )
-        return Matrix._of(out, self.rows, other.cols)
+        return Matrix._reduced(num, self.den * other.den, self.rows, other.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Matrix._of(self.data + other.data, self.rows + other.rows, self.cols)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = tuple(tuple(fa * x for x in row) for row in self.num) + tuple(
+            tuple(fb * x for x in row) for row in other.num
+        )
+        return Matrix._reduced(num, den, self.rows + other.rows, self.cols)
 
     def _eliminate(self) -> tuple:
         """The elimination kernel: fraction-free Gauss-Jordan (Bareiss).
 
-        Rows are cleared of denominators; each pivot column is then
-        cleared above and below its pivot, dividing exactly by the
-        previous pivot.  Returns ``(rows, den, pivots)``: the integer rows
-        divided by ``den`` are the reduced row echelon form.
+        Starts from the integer numerators (a row space does not see the
+        common denominator); each pivot column is cleared above and below
+        its pivot, dividing exactly by the previous pivot.  Returns
+        ``(rows, den, pivots)``: the integer rows divided by ``den`` (a
+        nonzero int of either sign) are the reduced row echelon form.
         """
-        m = []
-        for row in self.data:
-            den = lcm(*(x.denominator for x in row))
-            m.append([int(x * den) for x in row])
+        m = [list(row) for row in self.num]
         pivots = []
         prev = 1
         for col in range(self.cols):
@@ -185,19 +216,20 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row echelon form and the tuple of pivot column indices."""
         m, den, pivots = self._eliminate()
-        red = [[Fraction(x, den) for x in row] for row in m]
-        return Matrix(red, self.rows, self.cols), pivots
+        return Matrix._reduced(m, den, self.rows, self.cols), pivots
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as column vectors (tuples of Fractions)."""
-        red, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
+        m, den, pivots = self._eliminate()
+        zero, one = Fraction(0), Fraction(1)
         basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
+        for f in range(self.cols):
+            if f in pivots:
+                continue
+            v = [zero] * self.cols
+            v[f] = one
             for r, p in enumerate(pivots):
-                v[p] = -red.data[r][f]
+                v[p] = Fraction(-m[r][f], den)
             basis.append(tuple(v))
         return basis
 
@@ -207,11 +239,16 @@ class Matrix:
 
 def row_space_basis(vectors, length: int) -> list:
     """Canonical (rref) basis of the span of the given vectors."""
-    vecs = [tuple(_frac(x) for x in v) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         return []
-    red, pivots = Matrix(vecs, len(vecs), length).rref()
-    return [red.data[r] for r in range(len(pivots))]
+    return _row_basis(Matrix(vecs, len(vecs), length))
+
+
+def _row_basis(mat: Matrix) -> list:
+    """The nonzero rows of the rref of mat, as tuples of Fractions."""
+    red, pivots = mat.rref()
+    return list(red.data[: len(pivots)])
 
 
 def span_intersection(basis_a, basis_b, length: int) -> list:
@@ -220,17 +257,12 @@ def span_intersection(basis_a, basis_b, length: int) -> list:
     b = [tuple(v) for v in basis_b]
     if not a or not b:
         return []
-    # Solve sum x_i a_i = sum y_j b_j: kernel of [A | -B] on columns.
+    # Solve sum x_i a_i = sum y_j b_j: kernel of [A | -B] on columns; the
+    # x-parts of the kernel vectors, times A, span the intersection.
     cols = [list(v) for v in a] + [[-x for x in v] for v in b]
-    m = Matrix.from_columns(cols, length)
-    vecs = []
-    for k in m.nullspace():
-        v = [Fraction(0)] * length
-        for i, ai in enumerate(a):
-            for r in range(length):
-                v[r] += k[i] * ai[r]
-        vecs.append(tuple(v))
-    return row_space_basis(vecs, length)
+    kernel = Matrix.from_columns(cols, length).nullspace()
+    x = Matrix([k[: len(a)] for k in kernel], len(kernel), len(a))
+    return _row_basis(x @ Matrix(a, len(a), length))
 
 
 def preimage_basis(mat: Matrix, target_basis) -> list:
@@ -243,23 +275,28 @@ def preimage_basis(mat: Matrix, target_basis) -> list:
     t = Matrix([list(v) for v in target_basis], len(target_basis), mat.rows)
     functionals = t.nullspace()  # vectors f with t @ f = 0, i.e. f _|_ rows of t
     if not functionals:
-        return [tuple(Matrix.identity(mat.cols).column(j)) for j in range(mat.cols)]
-    c = Matrix([list(f) for f in functionals], len(functionals), mat.rows)
+        return Matrix.identity(mat.cols).columns()
+    c = Matrix(functionals, len(functionals), mat.rows)
     return (c @ mat).nullspace()
 
 
 def solve_in_basis(basis: Matrix, targets: Matrix) -> Matrix:
     """Solve basis @ X = targets for a full-column-rank basis matrix."""
-    aug = Matrix(
-        [list(br) + list(tr) for br, tr in zip(basis.data, targets.data)],
+    # Scaling a row of [basis | targets] keeps the solutions, so the
+    # numerators of both sides stand for the augmented rows.
+    fb, ft = targets.den, basis.den
+    aug = Matrix._reduced(
+        [
+            [fb * x for x in br] + [ft * x for x in tr]
+            for br, tr in zip(basis.num, targets.num)
+        ],
+        1,
         basis.rows,
         basis.cols + targets.cols,
     )
     red, pivots = aug.rref()
-    if len(pivots) != basis.cols or any(p >= basis.cols for p in pivots):
+    n = basis.cols
+    if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("system is inconsistent or basis is rank-deficient")
-    x = [[Fraction(0)] * targets.cols for _ in range(basis.cols)]
-    for r, p in enumerate(pivots):
-        for j in range(targets.cols):
-            x[p][j] = red.data[r][basis.cols + j]
-    return Matrix(x, basis.cols, targets.cols)
+    # Every basis column is a pivot, so row r of the rref solves for x_r.
+    return Matrix._reduced([row[n:] for row in red.num[:n]], red.den, n, targets.cols)

@@ -26,8 +26,9 @@ def path_matrix(rep, src, roots):
 
 
 def transpose(mat):
+    data = mat.data
     return Matrix(
-        [[mat.data[i][j] for i in range(mat.rows)] for j in range(mat.cols)],
+        [[data[i][j] for i in range(mat.rows)] for j in range(mat.cols)],
         mat.cols,
         mat.rows,
     )
@@ -76,11 +77,12 @@ def _hom_from_chain(rep, chain, alpha):
     for k in range(len(chain) - 1):
         src, tgt = chain[k], chain[k + 1]
         mat = rep.arrow(src, alpha)
+        data = mat.data
         dsrc, dtgt = dims[k], dims[k + 1]
         for i in range(mat.rows):
             row = [Fraction(0)] * n
             for j in range(dsrc):
-                row[offsets[k] + j] = mat.data[i][j]
+                row[offsets[k] + j] = data[i][j]
             if i < dtgt:
                 row[offsets[k + 1] + i] -= 1
             rows.append(row)
@@ -88,11 +90,12 @@ def _hom_from_chain(rep, chain, alpha):
     # of the bottom vertex must annihilate the image of phi there
     bottom = chain[-1]
     mat = rep.arrow(bottom, alpha)
+    data = mat.data
     k = len(chain) - 1
     for i in range(mat.rows):
         row = [Fraction(0)] * n
         for j in range(dims[k]):
-            row[offsets[k] + j] = mat.data[i][j]
+            row[offsets[k] + j] = data[i][j]
         rows.append(row)
     if not rows:
         return n
@@ -150,6 +153,60 @@ def conjugate(rep, change):
         tgt = tuple(a - b for a, b in zip(src, root.fund))
         arrows[(src, root)] = solve_in_basis(change[tgt], mat @ change[src])
     return QuiverRep(rep.geometry, dict(rep.support), arrows)
+
+
+# ----- Fixpoint references for the span closures -----------------------------
+#
+# The library closes spans in one pass ordered by vertex height; these
+# iterate over the arrows in dictionary order until nothing changes.
+
+
+def span_closure_oracle(rep, seeds):
+    """Bases of the subrepresentation generated by the full seed spaces."""
+    from homquiver.linalg import row_space_basis
+
+    spans = _full_seed_spans(rep, seeds)
+    changed = True
+    while changed:
+        changed = False
+        for (src, root), mat in rep.arrows.items():
+            tgt = tuple(a - b for a, b in zip(src, root.fund))
+            if not spans[src]:
+                continue
+            images = (mat @ Matrix.from_columns(spans[src], mat.cols)).columns()
+            new = row_space_basis(spans[tgt] + images, rep.support[tgt])
+            changed |= len(new) != len(spans[tgt])
+            spans[tgt] = new
+    return spans
+
+
+def colon_kernel_oracle(rep, seeds):
+    """Bases of the largest subrepresentation whose every path image stays
+    inside the full seed spaces."""
+    from homquiver.linalg import preimage_basis, span_intersection
+
+    spans = _full_seed_spans(rep, seeds)
+    changed = True
+    while changed:
+        changed = False
+        for (src, root), mat in rep.arrows.items():
+            tgt = tuple(a - b for a, b in zip(src, root.fund))
+            if not spans[src]:
+                continue
+            pre = preimage_basis(mat, spans[tgt])
+            new = span_intersection(spans[src], pre, rep.support[src])
+            if len(new) != len(spans[src]):
+                spans[src] = new
+                changed = True
+    return spans
+
+
+def _full_seed_spans(rep, seeds):
+    seeds = {tuple(s) for s in seeds}
+    return {
+        lam: Matrix.identity(d).columns() if lam in seeds else []
+        for lam, d in rep.support.items()
+    }
 
 
 def brute_force_h0_multiplicity(rep, lam):
@@ -373,3 +430,62 @@ def quiver_window_oracle(geom, center, radius):
         frontier = nxt
     found = [a for v in sorted(vertices) for a in arrows(v) if a[2] in vertices]
     return tuple(sorted(vertices)), tuple(found)
+
+
+# ----- Entrywise Fraction reference for linalg.Matrix ------------------------
+#
+# Matrices here are lists of rows of Fractions with an explicit shape; the
+# library stores integer numerators over one common denominator.
+
+
+def matmul_oracle(a, b, cols):
+    """Product of an r x k and a k x cols matrix, entry by entry."""
+    return [
+        [sum((row[t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def add_oracle(a, b, sign=1):
+    """a + sign * b, entry by entry."""
+    return [[x + sign * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def scale_oracle(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def rref_oracle(a, cols):
+    """Reduced row echelon form and pivot columns, Gauss-Jordan over the
+    Fractions with a division per pivot row."""
+    m = [list(row) for row in a]
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                c = m[i][col]
+                m[i] = [x - c * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, tuple(pivots)
+
+
+def nullspace_oracle(a, cols):
+    """Kernel basis read off the rref: one vector per free column f, with
+    1 at f and minus the rref entries of column f at the pivots."""
+    red, pivots = rref_oracle(a, cols)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return basis

@@ -26,7 +26,16 @@ from homquiver import (
 )
 from homquiver.linalg import Matrix
 
-from .oracles import path_matrix, random_consistent_rep
+from homquiver.bundle import _colon_kernel, _quotient, _restrict_to_spans, _span_dict
+
+from .oracles import (
+    colon_kernel_oracle,
+    conjugate,
+    path_matrix,
+    random_consistent_rep,
+    random_invertible,
+    span_closure_oracle,
+)
 
 
 def scalar(v):
@@ -218,6 +227,54 @@ def test_colon_quotient_respects_relations():
     # only the vectors whose entire forward orbit stays at the sink survive
     assert validate(quo) == []
     assert sum(quo.support.values()) < sum(rep.support.values())
+
+
+def _chain(geom, rng, length):
+    """Vertices top, top - a_1, top - 2 a_1, ... of dimension 1 to 3 with
+    random integer arrows (consistent: no relation has two a_1 steps)."""
+    alpha = geom.root_system.simple_root(1)
+    verts = [(length,) + (1,) * (geom.root_system.rank - 1)]
+    for _ in range(length):
+        verts.append(tuple(a - b for a, b in zip(verts[-1], alpha.fund)))
+    dims = {v: rng.randint(1, 3) for v in verts}
+    arrows = {
+        (src, alpha): Matrix(
+            [[rng.randint(-1, 1) for _ in range(dims[src])] for _ in range(dims[tgt])]
+        )
+        for src, tgt in zip(verts, verts[1:])
+    }
+    return QuiverRep(geom, dims, arrows)
+
+
+def _closure_cases():
+    """Random consistent bundles, and conjugated direct sums of one with a
+    tangent or cotangent bundle or a chain (paths of several arrows), each
+    with a random seed set."""
+    rng = random.Random(29)
+    for name in ("A1", "A2", "A3", "D4"):
+        geom = build_geometry(name, ())
+        for k in range(9):
+            rep = random_consistent_rep(geom, rng)
+            if k % 3:
+                base = tangent if k % 3 == 1 else cotangent
+                rep = direct_sum(base(geom), rep, _chain(geom, rng, 4))
+                rep = conjugate(
+                    rep, {lam: random_invertible(rng, d) for lam, d in rep.support.items()}
+                )
+            verts = sorted(rep.support)
+            yield rep, [v for v in verts if rng.random() < 0.3] or verts[:1]
+            yield rep, [v for v in verts if rng.random() < 0.8]
+
+
+def test_closures_match_fixpoint_oracles():
+    # one pass by vertex height gives the while-changed fixpoints exactly
+    for rep, seeds in _closure_cases():
+        spans = span_closure_oracle(rep, seeds)
+        assert _span_dict(rep, seeds) == spans
+        assert subrep_generated(rep, seeds) == _restrict_to_spans(rep, spans)
+        kernel = colon_kernel_oracle(rep, seeds)
+        assert _colon_kernel(rep, seeds) == kernel
+        assert colon_quotient(rep, seeds) == _quotient(rep, kernel)
 
 
 def test_is_am_type_detection():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homquiver.linalg import (
     Matrix,
@@ -11,7 +14,14 @@ from homquiver.linalg import (
     span_intersection,
 )
 
-from .oracles import transpose
+from .oracles import (
+    add_oracle,
+    matmul_oracle,
+    nullspace_oracle,
+    rref_oracle,
+    scale_oracle,
+    transpose,
+)
 
 
 def span_contains(basis, vector) -> bool:
@@ -213,3 +223,77 @@ def test_arithmetic_matches_entrywise_definition():
             assert (mat.rows, mat.cols) == (want.rows, want.cols), name
     with pytest.raises(ValueError):
         rand_matrix(rng, 2, 2) - rand_matrix(rng, 2, 3)
+
+
+# ----- Integer storage against the entrywise Fraction reference ---------------
+
+# Small numerators over denominators of mixed primes, zero entries often.
+fractions_ = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9, 10])),
+)
+
+
+def _rows(r, c):
+    return st.lists(st.lists(fractions_, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+@st.composite
+def operands(draw):
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a, a2, b = draw(_rows(r, k)), draw(_rows(r, k)), draw(_rows(k, c))
+    s = draw(st.one_of(st.sampled_from([0, 1, -1, -2]), fractions_))
+    return (r, k, c), a, a2, b, s
+
+
+def _canonical(m: Matrix) -> bool:
+    """The stored form: integer rows, den > 0, gcd(den, entries) == 1 (so a
+    zero matrix has den == 1), and the shape the rows have."""
+    entries = [x for row in m.num for x in row]
+    return (
+        type(m.den) is int
+        and all(type(x) is int for x in entries)
+        and m.den > 0
+        and gcd(m.den, *entries) == 1
+        and len(m.num) == m.rows
+        and all(len(row) == m.cols for row in m.num)
+    )
+
+
+def _agrees(m: Matrix, rows, cols) -> bool:
+    return (
+        _canonical(m)
+        and (m.rows, m.cols) == (len(rows), cols)
+        and [list(row) for row in m.data] == rows
+    )
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(operands())
+def test_matrix_operations_match_fraction_reference(ops):
+    (r, k, c), a, a2, b, s = ops
+    ma, ma2, mb = Matrix(a, r, k), Matrix(a2, r, k), Matrix(b, k, c)
+    for m, rows in ((ma, a), (ma2, a2), (mb, b)):
+        assert _agrees(m, rows, m.cols)
+    assert _agrees(ma @ mb, matmul_oracle(a, b, c), c)
+    assert _agrees(ma + ma2, add_oracle(a, a2), k)
+    assert _agrees(ma - ma2, add_oracle(a, a2, -1), k)
+    assert _agrees(ma.scale(s), scale_oracle(a, Fraction(s)), k)
+    assert _agrees(ma.vstack(ma2), a + a2, k)
+    assert (ma - ma).is_zero() and (ma - ma).den == 1
+    assert ma.is_zero() == all(x == 0 for row in a for x in row)
+
+    red, pivots = ma.rref()
+    ref_red, ref_pivots = rref_oracle(a, k)
+    assert pivots == ref_pivots and ma.rank() == len(ref_pivots)
+    assert _agrees(red, ref_red, k)
+    assert ma.nullspace() == nullspace_oracle(a, k)
+
+    # equal entries <=> equal matrices, and equal matrices hash alike,
+    # however the entries were written
+    same = Matrix([[str(x) for x in row] for row in a], r, k)
+    assert same == ma and hash(same) == hash(ma)
+    assert (ma == ma2) == (a == a2)
+    if a == a2:
+        assert hash(ma) == hash(ma2)
+    assert ma.scale(Fraction(1, 3)).scale(3) == ma
