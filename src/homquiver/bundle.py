@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ParabolicGeometry, build_geometry
-from .linalg import (
-    Matrix,
-    preimage_basis,
-    row_space_basis,
-    solve_in_basis,
-    span_intersection,
-)
+from .linalg import Matrix, row_basis
 from .quiver import (
     RelationInstance,
     derived_relations,
@@ -380,13 +374,14 @@ def tangent(geom: ParabolicGeometry) -> QuiverRep:
 # ----- sub- and quotient representations ---------------------------------------
 
 
-def _seed_spans(rep: QuiverRep, seeds) -> dict:
-    """Full spaces at the seed vertices, zero spaces elsewhere."""
+def _seed_spaces(rep: QuiverRep, seeds, at_seeds: bool) -> dict:
+    """The full space (identity rows) at each vertex that is a seed, or with
+    ``at_seeds`` false each vertex that is not one; zero spaces elsewhere."""
     seeds = {tuple(s) for s in seeds}
     if not seeds <= set(rep.support):
         raise ValueError("seed vertices must lie in the support")
     return {
-        lam: Matrix.identity(d).columns() if lam in seeds else []
+        lam: Matrix.identity(d) if (lam in seeds) == at_seeds else Matrix.zeros(0, d)
         for lam, d in rep.support.items()
     }
 
@@ -406,36 +401,54 @@ def _arrows_by_height(rep: QuiverRep, descending: bool) -> list:
     )
 
 
+def _coordinates(basis: Matrix) -> Matrix:
+    """The 0/1 rows E picking the pivot entry of each row of an rref basis B.
+
+    B has the identity in its pivot columns, so E @ B^T = I: for v in the
+    span of B, E @ v is the coordinate vector of v in B.
+    """
+    d = basis.cols
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis.num]
+    return Matrix([[int(j == p) for j in range(d)] for p in pivots], len(pivots), d)
+
+
 def _span_dict(rep: QuiverRep, seeds) -> dict:
     """Forward closure of the full seed spaces under arrow images.
 
+    Each span is an rref row basis (``linalg.row_basis``), k x dim: an
+    arrow A stacks the images S_src @ A^T onto S_tgt and reduces.
+    ``_colon_kernel`` is the same step on annihilators, run backwards.
     One pass over the arrows in decreasing source height suffices: every
     arrow into a source starts higher, so the span at the source is final
     before its images are pushed to the lower target.
     """
-    spans = _seed_spans(rep, seeds)
+    spans = _seed_spaces(rep, seeds, at_seeds=True)
     for (src, root), mat in _arrows_by_height(rep, descending=True):
-        if not spans[src]:
+        if not spans[src].rows:
             continue
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        images = (mat @ Matrix.from_columns(spans[src], mat.cols)).columns()
-        spans[tgt] = row_space_basis(spans[tgt] + images, rep.support[tgt])
+        spans[tgt] = row_basis(spans[tgt].vstack(spans[src] @ mat.transpose()))[0]
     return spans
 
 
 def _restrict_to_spans(rep: QuiverRep, spans: dict) -> QuiverRep:
-    """Subrepresentation on arrow-invariant subspaces given by bases."""
-    support = {lam: len(b) for lam, b in spans.items() if b}
-    bases = {
-        lam: Matrix.from_columns([list(v) for v in spans[lam]], rep.support[lam])
-        for lam in support
-    }
+    """Subrepresentation on arrow-invariant subspaces given by rref row bases.
+
+    The restricted arrow is the unique X with S_tgt^T @ X = A @ S_src^T,
+    the solution in the basis S_tgt: the pivot rows of A @ S_src^T
+    (``_coordinates``).  The square is checked, so spans that are not
+    invariant raise AssertionError.
+    """
+    support = {lam: b.rows for lam, b in spans.items() if b.rows}
+    coords = {lam: _coordinates(b) for lam, b in spans.items()}
     arrows = {}
     for (src, root), mat in rep.arrows.items():
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        if src not in support or tgt not in support:
-            continue
-        arrows[(src, root)] = solve_in_basis(bases[tgt], mat @ bases[src])
+        image = mat @ spans[src].transpose()
+        sub = coords[tgt] @ image
+        if spans[tgt].transpose() @ sub != image:
+            raise AssertionError("generated spans are not arrow-invariant")
+        arrows[(src, root)] = sub  # zero-sized off the support: dropped
     return QuiverRep(rep.geometry, support, arrows)
 
 
@@ -445,22 +458,25 @@ def subrep_generated(rep: QuiverRep, seeds) -> QuiverRep:
 
 
 def _colon_kernel(rep: QuiverRep, seeds) -> dict:
-    """Bases of the largest subrepresentation whose every path image
-    stays inside the full seed spaces.
+    """The largest subrepresentation K whose every path image stays inside
+    the full seed spaces, given by its annihilators.
 
-    This is the backward fixpoint of arrow preimages, computed in one pass
-    over the arrows in increasing source height: every arrow out of a
-    target starts lower than the arrow into it, so the kernel at the
-    target is final before its preimage cuts down the source.
+    At each vertex F is the rref row basis of the functionals vanishing on
+    K, so K is the kernel of F: 0 at the seeds, I elsewhere to start.  The
+    annihilator of the preimage of K_tgt under an arrow A is spanned by
+    F_tgt @ A, and that of an intersection is the sum, so cutting K_src
+    down stacks F_tgt @ A onto F_src and reduces.  One pass over the
+    arrows in increasing source height suffices: every arrow out of a
+    target starts lower than the arrow into it, so F at the target is
+    final before it is pulled back.
     """
-    spans = _seed_spans(rep, seeds)
+    ann = _seed_spaces(rep, seeds, at_seeds=False)
     for (src, root), mat in _arrows_by_height(rep, descending=False):
-        if not spans[src]:
-            continue
+        if ann[src].rows == rep.support[src]:
+            continue  # K_src is already zero
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        pre = preimage_basis(mat, spans[tgt])
-        spans[src] = span_intersection(spans[src], pre, rep.support[src])
-    return spans
+        ann[src] = row_basis(ann[src].vstack(ann[tgt] @ mat))[0]
+    return ann
 
 
 def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
@@ -469,43 +485,29 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
     return _quotient(rep, _colon_kernel(rep, seeds))
 
 
-def _quotient(rep: QuiverRep, spans: dict) -> QuiverRep:
-    """Quotient by arrow-invariant subspaces given by bases, acting on
-    complement coordinates."""
-    # Quotient coordinates: extend each kernel basis by the standard
-    # vectors at the pivot columns of [kernel | I] past the kernel block.
-    support = {}
-    proj = {}
-    sect = {}
-    for lam, d in rep.support.items():
-        cols = spans[lam]
-        k = len(cols)
-        if k == d:
-            continue
-        support[lam] = d - k
-        if not k:
-            # Every column of [I] is a pivot, so proj and sect are I.
-            proj[lam] = sect[lam] = Matrix.identity(d)
-            continue
-        eye = Matrix.identity(d).columns()
-        pivots = Matrix.from_columns(cols + eye, d).rref()[1]
-        chosen = [eye[p - k] for p in pivots[k:]]
-        full = Matrix.from_columns(cols + chosen, d)
-        inv = solve_in_basis(full, Matrix.identity(d))
-        # Rows of inv past the kernel block give quotient coordinates.
-        proj[lam] = Matrix(inv.data[k:], d - k, d)
-        sect[lam] = Matrix.from_columns(chosen, d)
+def _quotient(rep: QuiverRep, ann: dict) -> QuiverRep:
+    """Quotient by arrow-invariant subspaces given by their annihilators.
+
+    The rref annihilator F of K is the projection: v -> F @ v has kernel K,
+    and F @ E^T = I for the standard vectors E^T at its pivot columns
+    (``_coordinates``).  Column j is a pivot of F exactly when e_j is not
+    in K + span(e_i, i < j), so these are the vectors a greedy extension
+    of a basis of K picks, and F @ v are the coordinates of v in that
+    complement.  The quotient arrow is X = F_tgt @ A @ E_src^T, the pivot
+    columns of F_tgt @ A.  It is well defined exactly when
+    X @ F_src = F_tgt @ A, which is checked, so the annihilators of a
+    non-invariant K raise AssertionError.
+    """
+    support = {lam: f.rows for lam, f in ann.items() if f.rows}
+    sections = {lam: _coordinates(f).transpose() for lam, f in ann.items()}
     arrows = {}
     for (src, root), mat in rep.arrows.items():
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        if src not in support or tgt not in support:
-            continue
-        image = proj[tgt] @ mat
-        if spans[src]:
-            kb = Matrix.from_columns(spans[src], mat.cols)
-            if not (image @ kb).is_zero():
-                raise AssertionError("colon kernel is not arrow-invariant")
-        arrows[(src, root)] = image @ sect[src]
+        image = ann[tgt] @ mat
+        quo = image @ sections[src]
+        if quo @ ann[src] != image:
+            raise AssertionError("colon kernel is not arrow-invariant")
+        arrows[(src, root)] = quo  # zero-sized off the support: dropped
     return QuiverRep(rep.geometry, support, arrows)
 
 
@@ -583,6 +585,11 @@ def gabriel_decompose(rep: QuiverRep) -> GabrielDecomposition:
     path = is_am_type(rep)
     if path is None:
         raise ValueError("support is not of A_m type")
+    return _gabriel_along(rep, path)
+
+
+def _gabriel_along(rep: QuiverRep, path: AmPath) -> GabrielDecomposition:
+    """``gabriel_decompose`` on a support whose chain ``is_am_type`` found."""
     chain = path.vertices
     m = len(chain)
     dims = [rep.dim(v) for v in chain]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .bott import bott, weyl_dim
-from .bundle import QuiverRep, gabriel_decompose, is_am_type, require_valid
+from .bundle import QuiverRep, _gabriel_along, is_am_type, require_valid
 from .linalg import Matrix
 from .rootsystem import Weight
 
@@ -119,10 +119,11 @@ def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix:
     return rep.walk(pairing.source, repeat(alpha, pairing.k), pairing.target)
 
 
-def _section_multiplicities(rep: QuiverRep) -> dict:
-    """Kernel dimension of the stacked pairing maps at each dominant vertex."""
+def _section_multiplicities(rep: QuiverRep, pairings: tuple) -> dict:
+    """Kernel dimension of the stacked pairing maps at each dominant vertex,
+    given ``find_pairings(rep)``."""
     by_source = {}
-    for p in find_pairings(rep):
+    for p in pairings:
         by_source.setdefault(p.source, []).append(p)
     out = {}
     for lam in sorted(rep.support):
@@ -157,7 +158,7 @@ def h0(rep: QuiverRep) -> GModuleDecomposition:
     rs = rep.geometry.root_system
     acc = {
         lam: (m, weyl_dim(rs, lam))
-        for lam, m in _section_multiplicities(rep).items()
+        for lam, m in _section_multiplicities(rep, find_pairings(rep)).items()
     }
     return _decomposition(acc, notes)
 
@@ -175,14 +176,14 @@ def h0_am(rep: QuiverRep) -> GModuleDecomposition:
         raise ValueError("not an A_m-type support")
     require_valid(rep)
 
-    mults = _section_multiplicities(rep)
+    pairings = find_pairings(rep)
+    mults = _section_multiplicities(rep, pairings)
 
-    gab = gabriel_decompose(rep)
-    chain = gab.path.vertices
-    position = {v: i for i, v in enumerate(chain)}
-    pairings = {p.source: p for p in find_pairings(rep)}
+    gab = _gabriel_along(rep, path)
+    position = {v: i for i, v in enumerate(path.vertices)}
+    partner = {p.source: p for p in pairings}
     for lam, m in mults.items():
-        p = pairings.get(lam)
+        p = partner.get(lam)
         pos = position[lam]
         score = 0
         for (i, j), mult in gab.intervals:

@@ -10,13 +10,15 @@ The pair is kept in canonical form: ``den > 0``, the gcd of ``den`` and
 all numerators is 1, and so a zero (or empty) matrix has ``den == 1``.
 Equal matrices therefore have equal ``(num, den)``, products, sums and
 scalings run on Python ints, and ``Fraction``s appear only at the
-boundary: the constructor accepts anything ``Fraction`` does, and
-``data``, ``column``, ``columns`` and ``nullspace`` return Fractions.
+boundary: the constructor accepts anything ``Fraction`` does, and the
+``data`` and ``nullspace`` views return Fractions.
 
-Ranks, reduced row echelon forms, kernels and solves all come from one
-elimination kernel, ``Matrix._eliminate``: fraction-free Gauss-Jordan
-(Bareiss, Math. Comp. 22, 1968) on the stored numerators, whose result
-is the unique reduced row echelon form.
+Ranks, reduced row echelon forms, row-space bases, kernels and solves
+all come from one elimination kernel, ``Matrix._eliminate``:
+fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the stored
+numerators, whose result is the unique reduced row echelon form.  A
+subspace is held as ``row_basis`` returns it: the nonzero rows of that
+form, so equal subspaces have equal bases.
 """
 
 from __future__ import annotations
@@ -97,23 +99,11 @@ class Matrix:
         mat._set(num, 1, n, n)
         return mat
 
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "Matrix":
-        cols = len(columns)
-        return cls([[columns[j][i] for j in range(cols)] for i in range(rows)], rows, cols)
-
     @property
     def data(self) -> tuple:
         """The entries as rows of Fractions (built on each access)."""
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-
-    def column(self, j: int) -> tuple:
-        den = self.den
-        return tuple(Fraction(row[j], den) for row in self.num)
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
 
     def __eq__(self, other):
         return (
@@ -165,6 +155,12 @@ class Matrix:
             tuple([sum(map(mul, row, col)) for col in columns]) for row in self.num
         )
         return Matrix._reduced(num, self.den * other.den, self.rows, other.cols)
+
+    def transpose(self) -> "Matrix":
+        # Same entries over the same denominator: still canonical.
+        mat = object.__new__(Matrix)
+        mat._set(tuple(zip(*self.num)) or ((),) * self.cols, self.den, self.cols, self.rows)
+        return mat
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -237,47 +233,12 @@ class Matrix:
         return self.cols - self.rank()
 
 
-def row_space_basis(vectors, length: int) -> list:
-    """Canonical (rref) basis of the span of the given vectors."""
-    vecs = list(vectors)
-    if not vecs:
-        return []
-    return _row_basis(Matrix(vecs, len(vecs), length))
-
-
-def _row_basis(mat: Matrix) -> list:
-    """The nonzero rows of the rref of mat, as tuples of Fractions."""
+def row_basis(mat: Matrix) -> tuple[Matrix, tuple]:
+    """Canonical basis of the row space and its pivot columns: the nonzero
+    rows of the rref of mat (k x cols for rank k)."""
     red, pivots = mat.rref()
-    return list(red.data[: len(pivots)])
-
-
-def span_intersection(basis_a, basis_b, length: int) -> list:
-    """Basis of the intersection of two spans of vectors of given length."""
-    a = [tuple(v) for v in basis_a]
-    b = [tuple(v) for v in basis_b]
-    if not a or not b:
-        return []
-    # Solve sum x_i a_i = sum y_j b_j: kernel of [A | -B] on columns; the
-    # x-parts of the kernel vectors, times A, span the intersection.
-    cols = [list(v) for v in a] + [[-x for x in v] for v in b]
-    kernel = Matrix.from_columns(cols, length).nullspace()
-    x = Matrix([k[: len(a)] for k in kernel], len(kernel), len(a))
-    return _row_basis(x @ Matrix(a, len(a), length))
-
-
-def preimage_basis(mat: Matrix, target_basis) -> list:
-    """Basis of {v : mat @ v lies in span(target_basis)}."""
-    if mat.cols == 0:
-        return []
-    if not target_basis:
-        return mat.nullspace()
-    # Functionals vanishing on the target span, as rows.
-    t = Matrix([list(v) for v in target_basis], len(target_basis), mat.rows)
-    functionals = t.nullspace()  # vectors f with t @ f = 0, i.e. f _|_ rows of t
-    if not functionals:
-        return Matrix.identity(mat.cols).columns()
-    c = Matrix(functionals, len(functionals), mat.rows)
-    return (c @ mat).nullspace()
+    k = len(pivots)
+    return Matrix._reduced(red.num[:k], red.den, k, mat.cols), pivots
 
 
 def solve_in_basis(basis: Matrix, targets: Matrix) -> Matrix:

@@ -155,16 +155,66 @@ def conjugate(rep, change):
     return QuiverRep(rep.geometry, dict(rep.support), arrows)
 
 
-# ----- Fixpoint references for the span closures -----------------------------
+# ----- Fraction span helpers and the old closures -----------------------------
 #
-# The library closes spans in one pass ordered by vertex height; these
-# iterate over the arrows in dictionary order until nothing changes.
+# A span is a list of Fraction tuples.  The library closes spans in one pass
+# ordered by vertex height and keeps them as integer rref rows (colon kernels
+# by their annihilators); these iterate over the arrows in dictionary order
+# until nothing changes, keep kernel bases, and restrict and quotient by
+# solving in a basis.
+
+
+def from_columns(columns, rows):
+    """The rows x len(columns) matrix with the given columns."""
+    cols = len(columns)
+    return Matrix([[columns[j][i] for j in range(cols)] for i in range(rows)], rows, cols)
+
+
+def columns(mat):
+    """The columns of mat, as tuples of Fractions."""
+    return list(transpose(mat).data)
+
+
+def row_space_basis(vectors, length):
+    """Canonical (rref) basis of the span of the given vectors."""
+    vecs = list(vectors)
+    if not vecs:
+        return []
+    red, pivots = Matrix(vecs, len(vecs), length).rref()
+    return list(red.data[: len(pivots)])
+
+
+def span_intersection(basis_a, basis_b, length):
+    """Basis of the intersection of two spans of vectors of given length."""
+    a = [tuple(v) for v in basis_a]
+    b = [tuple(v) for v in basis_b]
+    if not a or not b:
+        return []
+    # Solve sum x_i a_i = sum y_j b_j: kernel of [A | -B] on columns; the
+    # x-parts of the kernel vectors, times A, span the intersection.
+    cols = [list(v) for v in a] + [[-x for x in v] for v in b]
+    kernel = from_columns(cols, length).nullspace()
+    x = Matrix([k[: len(a)] for k in kernel], len(kernel), len(a))
+    return row_space_basis((x @ Matrix(a, len(a), length)).data, length)
+
+
+def preimage_basis(mat, target_basis):
+    """Basis of {v : mat @ v lies in span(target_basis)}."""
+    if mat.cols == 0:
+        return []
+    if not target_basis:
+        return mat.nullspace()
+    # Functionals vanishing on the target span, as rows.
+    t = Matrix([list(v) for v in target_basis], len(target_basis), mat.rows)
+    functionals = t.nullspace()  # vectors f with t @ f = 0, i.e. f _|_ rows of t
+    if not functionals:
+        return columns(Matrix.identity(mat.cols))
+    c = Matrix(functionals, len(functionals), mat.rows)
+    return (c @ mat).nullspace()
 
 
 def span_closure_oracle(rep, seeds):
     """Bases of the subrepresentation generated by the full seed spaces."""
-    from homquiver.linalg import row_space_basis
-
     spans = _full_seed_spans(rep, seeds)
     changed = True
     while changed:
@@ -173,7 +223,7 @@ def span_closure_oracle(rep, seeds):
             tgt = tuple(a - b for a, b in zip(src, root.fund))
             if not spans[src]:
                 continue
-            images = (mat @ Matrix.from_columns(spans[src], mat.cols)).columns()
+            images = columns(mat @ from_columns(spans[src], mat.cols))
             new = row_space_basis(spans[tgt] + images, rep.support[tgt])
             changed |= len(new) != len(spans[tgt])
             spans[tgt] = new
@@ -183,8 +233,6 @@ def span_closure_oracle(rep, seeds):
 def colon_kernel_oracle(rep, seeds):
     """Bases of the largest subrepresentation whose every path image stays
     inside the full seed spaces."""
-    from homquiver.linalg import preimage_basis, span_intersection
-
     spans = _full_seed_spans(rep, seeds)
     changed = True
     while changed:
@@ -204,9 +252,60 @@ def colon_kernel_oracle(rep, seeds):
 def _full_seed_spans(rep, seeds):
     seeds = {tuple(s) for s in seeds}
     return {
-        lam: Matrix.identity(d).columns() if lam in seeds else []
+        lam: columns(Matrix.identity(d)) if lam in seeds else []
         for lam, d in rep.support.items()
     }
+
+
+def restrict_oracle(rep, spans):
+    """Subrepresentation on arrow-invariant subspaces given by bases, each
+    arrow solved in the target basis."""
+    from homquiver.linalg import solve_in_basis
+
+    support = {lam: len(b) for lam, b in spans.items() if b}
+    bases = {lam: from_columns(spans[lam], rep.support[lam]) for lam in support}
+    arrows = {}
+    for (src, root), mat in rep.arrows.items():
+        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        if src not in support or tgt not in support:
+            continue
+        arrows[(src, root)] = solve_in_basis(bases[tgt], mat @ bases[src])
+    return QuiverRep(rep.geometry, support, arrows)
+
+
+def quotient_oracle(rep, spans):
+    """Quotient by arrow-invariant subspaces given by bases: each kernel
+    basis is extended by the standard vectors at the pivot columns of
+    [kernel | I] past the kernel block, and the inverse of the extended
+    basis gives the quotient coordinates."""
+    from homquiver.linalg import solve_in_basis
+
+    support = {}
+    proj = {}
+    sect = {}
+    for lam, d in rep.support.items():
+        cols = spans[lam]
+        k = len(cols)
+        if k == d:
+            continue
+        support[lam] = d - k
+        eye = columns(Matrix.identity(d))
+        pivots = from_columns(cols + eye, d).rref()[1]
+        chosen = [eye[p - k] for p in pivots[k:]]
+        inv = solve_in_basis(from_columns(cols + chosen, d), Matrix.identity(d))
+        # Rows of inv past the kernel block give quotient coordinates.
+        proj[lam] = Matrix(inv.data[k:], d - k, d)
+        sect[lam] = from_columns(chosen, d)
+    arrows = {}
+    for (src, root), mat in rep.arrows.items():
+        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        if src not in support or tgt not in support:
+            continue
+        image = proj[tgt] @ mat
+        if spans[src]:
+            assert (image @ from_columns(spans[src], mat.cols)).is_zero()
+        arrows[(src, root)] = image @ sect[src]
+    return QuiverRep(rep.geometry, support, arrows)
 
 
 def brute_force_h0_multiplicity(rep, lam):

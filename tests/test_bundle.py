@@ -24,7 +24,7 @@ from homquiver import (
     tangent,
     validate,
 )
-from homquiver.linalg import Matrix
+from homquiver.linalg import Matrix, row_basis
 
 from homquiver.bundle import _colon_kernel, _quotient, _restrict_to_spans, _span_dict
 
@@ -32,9 +32,12 @@ from .oracles import (
     colon_kernel_oracle,
     conjugate,
     path_matrix,
+    quotient_oracle,
     random_consistent_rep,
     random_invertible,
+    restrict_oracle,
     span_closure_oracle,
+    transpose,
 )
 
 
@@ -267,14 +270,69 @@ def _closure_cases():
 
 
 def test_closures_match_fixpoint_oracles():
-    # one pass by vertex height gives the while-changed fixpoints exactly
+    # one pass by vertex height gives the while-changed fixpoints exactly:
+    # the same rref bases, and annihilators of exactly the oracle kernels
     for rep, seeds in _closure_cases():
         spans = span_closure_oracle(rep, seeds)
-        assert _span_dict(rep, seeds) == spans
-        assert subrep_generated(rep, seeds) == _restrict_to_spans(rep, spans)
+        got = _span_dict(rep, seeds)
+        assert got.keys() == spans.keys()
+        for lam, basis in got.items():
+            assert list(basis.data) == spans[lam]
+        assert subrep_generated(rep, seeds) == restrict_oracle(rep, spans)
         kernel = colon_kernel_oracle(rep, seeds)
-        assert _colon_kernel(rep, seeds) == kernel
-        assert colon_quotient(rep, seeds) == _quotient(rep, kernel)
+        ann = _colon_kernel(rep, seeds)
+        assert ann.keys() == kernel.keys()
+        for lam, f in ann.items():
+            k = Matrix(kernel[lam], len(kernel[lam]), f.cols)
+            assert (f @ transpose(k)).is_zero()
+            assert f.rank() + k.rows == f.cols
+            assert row_basis(f)[0] == f
+        assert colon_quotient(rep, seeds) == quotient_oracle(rep, kernel)
+
+
+def test_commutative_square_checks_reject_non_invariant_spaces():
+    # identity arrow on a 2-space, first coordinate line at the source and
+    # second at the target: the image of the source line leaves the target
+    # line, and the target functionals pulled back do not vanish on the
+    # kernel of the source functionals
+    g = build_geometry("A1", ())
+    alpha = g.root_system.simple_root(1)
+    rep = QuiverRep(g, {(2,): 2, (0,): 2}, {((2,), alpha): Matrix.identity(2)})
+    line = {(2,): Matrix([[1, 0]]), (0,): Matrix([[0, 1]])}
+    with pytest.raises(AssertionError, match="generated spans are not arrow-invariant"):
+        _restrict_to_spans(rep, line)
+    with pytest.raises(AssertionError, match="colon kernel is not arrow-invariant"):
+        _quotient(rep, line)
+
+
+def test_commutative_square_checks_survive_python_O():
+    code = (
+        "from homquiver import Matrix, QuiverRep, build_geometry\n"
+        "from homquiver.bundle import _quotient, _restrict_to_spans\n"
+        "g = build_geometry('A1')\n"
+        "alpha = g.root_system.simple_root(1)\n"
+        "rep = QuiverRep(g, {(2,): 2, (0,): 2}, {((2,), alpha): Matrix.identity(2)})\n"
+        "line = {(2,): Matrix([[1, 0]]), (0,): Matrix([[0, 1]])}\n"
+        "for check in (_restrict_to_spans, _quotient):\n"
+        "    try:\n"
+        "        check(rep, line)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(pathlib.Path(homquiver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "generated spans are not arrow-invariant",
+        "colon kernel is not arrow-invariant",
+    ]
 
 
 def test_is_am_type_detection():

@@ -190,6 +190,34 @@ def test_h0_am_agrees_with_h0():
         assert h0_am(rep).total_dimension == h0(rep).total_dimension
 
 
+def test_h0_am_finds_chain_and_pairings_once(monkeypatch):
+    import homquiver.bundle as bundle_mod
+    import homquiver.cohomology as cohomology_mod
+
+    calls = {"is_am_type": 0, "find_pairings": 0}
+
+    def counted(name, fn):
+        def wrapper(rep):
+            calls[name] += 1
+            return fn(rep)
+        return wrapper
+
+    is_am_type = counted("is_am_type", bundle_mod.is_am_type)
+    for mod in (bundle_mod, cohomology_mod):
+        monkeypatch.setattr(mod, "is_am_type", is_am_type)
+    monkeypatch.setattr(
+        cohomology_mod, "find_pairings", counted("find_pairings", find_pairings)
+    )
+    g = build_geometry("A1", ())
+    alpha = g.root_system.simple_root(1)
+    rep = QuiverRep(
+        g, {(2,): 1, (0,): 1, (-2,): 1},
+        {((2,), alpha): scalar(1), ((0,), alpha): scalar(2)},
+    )
+    assert [(e.weight, e.multiplicity) for e in h0_am(rep).entries] == [((2,), 1)]
+    assert calls == {"is_am_type": 1, "find_pairings": 1}
+
+
 def test_h0_am_rejects_non_chain(a2):
     rep = solve_derived_arrows(rep_l(a2, 0))
     with pytest.raises(ValueError):

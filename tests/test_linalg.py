@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homquiver.linalg import (
-    Matrix,
-    preimage_basis,
-    row_space_basis,
-    solve_in_basis,
-    span_intersection,
-)
+from homquiver.linalg import Matrix, row_basis, solve_in_basis
 
 from .oracles import (
     add_oracle,
+    from_columns,
     matmul_oracle,
     nullspace_oracle,
+    preimage_basis,
+    row_space_basis,
     rref_oracle,
     scale_oracle,
+    span_intersection,
     transpose,
 )
 
@@ -88,7 +86,7 @@ def test_nullspace_is_exact_kernel():
         basis = m.nullspace()
         assert len(basis) == m.cols - m.rank()
         for v in basis:
-            col = Matrix.from_columns([list(v)], m.cols)
+            col = from_columns([list(v)], m.cols)
             assert (m @ col).is_zero()
 
 
@@ -280,6 +278,8 @@ def test_matrix_operations_match_fraction_reference(ops):
     assert _agrees(ma - ma2, add_oracle(a, a2, -1), k)
     assert _agrees(ma.scale(s), scale_oracle(a, Fraction(s)), k)
     assert _agrees(ma.vstack(ma2), a + a2, k)
+    t = ma.transpose()
+    assert _canonical(t) and t == transpose(ma) and (t.rows, t.cols) == (k, r)
     assert (ma - ma).is_zero() and (ma - ma).den == 1
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
 
@@ -288,6 +288,9 @@ def test_matrix_operations_match_fraction_reference(ops):
     assert pivots == ref_pivots and ma.rank() == len(ref_pivots)
     assert _agrees(red, ref_red, k)
     assert ma.nullspace() == nullspace_oracle(a, k)
+    basis, basis_pivots = row_basis(ma)
+    assert basis_pivots == ref_pivots
+    assert _agrees(basis, ref_red[: len(ref_pivots)], k)
 
     # equal entries <=> equal matrices, and equal matrices hash alike,
     # however the entries were written
