@@ -15,21 +15,22 @@ one bracket per non-simple arrow.  The simple arrows then define a Lie
 algebra map phi from n^-, and by induction on height each given arrow
 f_delta = (1/N)[f_beta, f_gamma] is phi(e_-delta), so every bracket
 relation holds as it does in n^- (the ``quiver`` module docstring has
-the proof sketch).  The gate ``require_valid`` calls
-``check_relations(rep, serre=True)``, which decides first and enumerates
-every relation instance only to list the violated ones once the decision
-fails.
+the proof sketch).  ``check_relations``, the relation check of the gate
+``require_valid``, decides with it and enumerates every relation
+instance only for a rejected representation, to list the violated ones.
+Both evaluate relations as linear combinations of arrow paths
+(``_combination``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import ParabolicGeometry, build_geometry
 from .linalg import Matrix, row_basis
 from .quiver import (
-    RelationInstance,
     derived_relations,
     first_decompositions,
     serre_relations,
@@ -154,23 +155,19 @@ def validate(rep: QuiverRep) -> list:
     return errors
 
 
-def _residual(rep: QuiverRep, inst: RelationInstance, end: Weight,
-              delta: Root | None) -> Matrix:
-    """Relation residual at an instance; the relation holds iff it is zero.
-
-    With arrows recording the action of the negative-root generators, the
-    bracket identity reads: (path gamma then beta) - (path beta then gamma)
-    = N(-beta,-gamma) * (direct arrow for delta = beta+gamma), all maps
-    from the source to ``end``.
+def _combination(rep: QuiverRep, lam: Weight, terms, end: Weight) -> Matrix:
+    """The map from lam to end given by a linear combination of arrow
+    paths: the sum of coef * (composition along path) over the (coef,
+    path) terms, paths as in ``QuiverRep.walk``.  A relation (the
+    ``quiver.serre_relations`` format) holds at lam when this is zero.
     """
-    lam = inst.source
-    beta, gamma = inst.beta, inst.gamma
-    m_gb = rep.walk(lam, (gamma, beta), end)
-    m_bg = rep.walk(lam, (beta, gamma), end)
-    res = m_gb - m_bg
-    if inst.coefficient:
-        res = res - rep.arrow(lam, delta).scale(inst.coefficient)
-    return res
+    total = None
+    for coef, path in terms:
+        mat = rep.walk(lam, path, end)
+        if coef != 1:
+            mat = mat.scale(coef)
+        total = mat if total is None else total + mat
+    return total
 
 
 def _relations_vanish(rep: QuiverRep, relations) -> bool:
@@ -179,15 +176,7 @@ def _relations_vanish(rep: QuiverRep, relations) -> bool:
     for lam in rep.support:
         for shift, terms in relations:
             end = tuple(a - b for a, b in zip(lam, shift))
-            if end not in rep.support:
-                continue
-            total = None
-            for coef, path in terms:
-                mat = rep.walk(lam, path, end)
-                if coef != 1:
-                    mat = mat.scale(coef)
-                total = mat if total is None else total + mat
-            if not total.is_zero():
+            if end in rep.support and not _combination(rep, lam, terms, end).is_zero():
                 return False
     return True
 
@@ -203,26 +192,41 @@ def relations_hold(rep: QuiverRep) -> bool:
     return _relations_vanish(rep, serre_relations(rs) + derived_relations(rs))
 
 
-def check_relations(rep: QuiverRep, serre: bool = False) -> list:
-    """Violated relation instances of a Borel representation (empty = ok).
+def _violated_instances(rep: QuiverRep) -> list:
+    """Every relation instance of a Borel representation whose source and
+    end lie in the support, evaluated; the violated ones, in order.
 
-    Every instance whose source and end lie in the support is enumerated.
-    With ``serre``, for a structurally valid representation only,
-    ``relations_hold`` decides first and the enumeration runs only to list
-    the instances of a rejected one; the result is the same.
+    With arrows recording the action of the negative-root generators, the
+    bracket identity reads: (path gamma then beta) - (path beta then gamma)
+    = N(-beta,-gamma) * (direct arrow for delta = beta+gamma), all maps
+    from the source to the end; an instance is violated when the two sides
+    differ.
     """
-    geom = rep.geometry
-    if not geom.is_borel:
-        raise ValueError("relations are only known for the Borel parabolic")
-    if serre and relations_hold(rep):
-        return []
     violated = []
-    for inst, end, delta in support_relation_instances(geom, rep.support):
+    for inst, end, delta in support_relation_instances(rep.geometry, rep.support):
         if rep.dim(inst.source) == 0 or rep.dim(end) == 0:
-            continue  # residual lands in a zero space
-        if not _residual(rep, inst, end, delta).is_zero():
+            continue  # the relation lands in a zero space
+        beta, gamma = inst.beta, inst.gamma
+        terms = ((1, (gamma, beta)), (-1, (beta, gamma)))
+        if inst.coefficient:
+            terms += ((-inst.coefficient, (delta,)),)
+        if not _combination(rep, inst.source, terms, end).is_zero():
             violated.append(inst)
-    if serre and not violated:
+    return violated
+
+
+def check_relations(rep: QuiverRep) -> list:
+    """Violated relation instances of a structurally valid Borel
+    representation (empty = ok).
+
+    ``relations_hold`` decides; only a rejected representation pays for
+    enumerating every instance to list the violated ones, and a rejection
+    that lists nothing is a fault of the decision.
+    """
+    if relations_hold(rep):
+        return []
+    violated = _violated_instances(rep)
+    if not violated:
         raise AssertionError(
             "relations_hold rejects a representation whose every "
             "relation instance holds"
@@ -234,14 +238,13 @@ def require_valid(rep: QuiverRep) -> None:
     """The validation gate: structural checks, then relations on the Borel.
 
     Raises ValueError listing the structural errors, or RelationError
-    carrying the violated relation instances.  The Serre criterion decides
-    the relations; only a rejected representation pays for listing them.
+    carrying the violated relation instances (``check_relations``).
     """
     errors = validate(rep)
     if errors:
         raise ValueError("; ".join(errors))
     if rep.geometry.is_borel:
-        violated = check_relations(rep, serre=True)
+        violated = check_relations(rep)
         if violated:
             raise RelationError(violated)
 
@@ -266,19 +269,18 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     }
     work = QuiverRep(geom, rep.support, arrows)
     for delta, (beta, gamma, n) in first_decompositions(rs).items():
+        bracket = ((1, (gamma, beta)), (-1, (beta, gamma)))
         for lam in sorted(rep.support):
             tgt = tuple(a - b for a, b in zip(lam, delta.fund))
             if tgt not in rep.support:
                 continue
-            m_gb = work.walk(lam, (gamma, beta), tgt)
-            m_bg = work.walk(lam, (beta, gamma), tgt)
-            mat = (m_gb - m_bg).scale(Fraction(1, n))
+            mat = _combination(work, lam, bracket, tgt).scale(Fraction(1, n))
             if not mat.is_zero():
                 work.arrows[(lam, delta)] = mat
     # The Serre check needs well-formed arrows; otherwise the full
     # enumeration reports, as it does for a rejected completion.
     if validate(work) or not _relations_vanish(work, serre_relations(rs)):
-        violated = check_relations(work)
+        violated = _violated_instances(work)
         if violated:
             raise RelationError(violated)
     return work
@@ -323,52 +325,53 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
     keys = sorted({k for r in reps for k in r.arrows})
     for src, root in keys:
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        block = [[0] * support[src] for _ in range(support[tgt])]
-        for r, off in zip(reps, offsets):
-            mat = r.arrows.get((src, root))
-            if mat is None:
-                continue
-            ro = off.get(tgt, 0)
-            co = off.get(src, 0)
-            for i, row in enumerate(mat.data):
-                block[ro + i][co : co + mat.cols] = row
-        arrows[(src, root)] = Matrix(block, support[tgt], support[src])
+        blocks = [
+            (r.arrows[(src, root)], off) for r, off in zip(reps, offsets)
+            if (src, root) in r.arrows
+        ]
+        # The integer rows of each block, brought over the lcm of the
+        # blocks' denominators.
+        den = lcm(*(mat.den for mat, _ in blocks))
+        num = [[0] * support[src] for _ in range(support[tgt])]
+        for mat, off in blocks:
+            f = den // mat.den
+            ro, co = off.get(tgt, 0), off.get(src, 0)
+            for i, row in enumerate(mat.num):
+                num[ro + i][co : co + mat.cols] = [f * x for x in row]
+        arrows[(src, root)] = Matrix._reduced(num, den, support[tgt], support[src])
     return QuiverRep(geom, support, arrows)
 
 
-def cotangent(geom: ParabolicGeometry) -> QuiverRep:
-    """Cotangent bundle of the full flag variety (Borel only).
+def _adjoint(geom: ParabolicGeometry, sign: int) -> QuiverRep:
+    """Tangent (sign 1) or cotangent (sign -1) bundle of the full flag variety.
 
-    Graded pieces are the line bundles at the negated positive roots; the
-    generating arrows are the adjoint-action brackets.
+    Graded pieces are the line bundles at the roots r = sign * beta for
+    beta positive; the generating arrow from r along a simple gamma is the
+    adjoint-action bracket N(-gamma, r), present where r - gamma is again
+    such a root.
     """
     if not geom.is_borel:
-        raise ValueError("cotangent builder requires the Borel parabolic")
+        name = "tangent" if sign > 0 else "cotangent"
+        raise ValueError(f"{name} builder requires the Borel parabolic")
     rs = geom.root_system
-    support = {tuple(-c for c in beta.fund): 1 for beta in rs.positive_roots}
+    roots = [beta if sign > 0 else -beta for beta in rs.positive_roots]
+    support = {r.fund: 1 for r in roots}
     arrows = {}
-    for beta in rs.positive_roots:
-        src = tuple(-c for c in beta.fund)
+    for r in roots:
         for gamma in rs.positive_roots[: rs.rank]:
-            total = tuple(a + b for a, b in zip(beta.simple, gamma.simple))
-            if rs.is_root(total):
-                arrows[(src, gamma)] = Matrix([[rs.chevalley(-gamma, -beta)]])
+            if tuple(a - b for a, b in zip(r.fund, gamma.fund)) in support:
+                arrows[(r.fund, gamma)] = Matrix([[rs.chevalley(-gamma, r)]])
     return solve_derived_arrows(QuiverRep(geom, support, arrows))
 
 
 def tangent(geom: ParabolicGeometry) -> QuiverRep:
     """Tangent bundle of the full flag variety (Borel only)."""
-    if not geom.is_borel:
-        raise ValueError("tangent builder requires the Borel parabolic")
-    rs = geom.root_system
-    support = {beta.fund: 1 for beta in rs.positive_roots}
-    arrows = {}
-    for beta in rs.positive_roots:
-        for gamma in rs.positive_roots[: rs.rank]:
-            diff = tuple(a - b for a, b in zip(beta.simple, gamma.simple))
-            if rs.is_root(diff) and rs.root(diff).is_positive:
-                arrows[(beta.fund, gamma)] = Matrix([[rs.chevalley(-gamma, beta)]])
-    return solve_derived_arrows(QuiverRep(geom, support, arrows))
+    return _adjoint(geom, 1)
+
+
+def cotangent(geom: ParabolicGeometry) -> QuiverRep:
+    """Cotangent bundle of the full flag variety (Borel only)."""
+    return _adjoint(geom, -1)
 
 
 # ----- sub- and quotient representations ---------------------------------------
@@ -386,129 +389,89 @@ def _seed_spaces(rep: QuiverRep, seeds, at_seeds: bool) -> dict:
     }
 
 
-def _arrows_by_height(rep: QuiverRep, descending: bool) -> list:
-    """The arrows of rep sorted by the height (lam, rho) of their source.
+def _arrow_steps(rep: QuiverRep, forward: bool) -> tuple:
+    """The arrow keys of rep and the closure steps ``(a, b, M)`` they give.
 
-    An arrow lam -> lam - beta has beta positive, so it lowers the height
-    by gram_scale * ht(beta) > 0: every arrow into a vertex starts higher
-    than every arrow out of it.
+    Forward, an arrow A: src -> tgt pushes row spaces S from src to tgt:
+    the step (src, tgt, A^T), keys in decreasing source height.  Backward
+    it pulls annihilators F from tgt back to src: the step (tgt, src, A),
+    keys in increasing source height.  An arrow lam -> lam - beta has beta
+    positive, so it lowers the height (lam, rho) by gram_scale * ht(beta)
+    > 0: every arrow into a vertex starts higher than every arrow out of
+    it, and in either order a space is final before a step reads it.
     """
     rs = rep.geometry.root_system
-    return sorted(
-        rep.arrows.items(),
-        key=lambda item: rs.scaled_inner(item[0][0], rs.rho),
-        reverse=descending,
+    keys = sorted(
+        rep.arrows, key=lambda key: rs.scaled_inner(key[0], rs.rho), reverse=forward
     )
-
-
-def _coordinates(basis: Matrix) -> Matrix:
-    """The 0/1 rows E picking the pivot entry of each row of an rref basis B.
-
-    B has the identity in its pivot columns, so E @ B^T = I: for v in the
-    span of B, E @ v is the coordinate vector of v in B.
-    """
-    d = basis.cols
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis.num]
-    return Matrix([[int(j == p) for j in range(d)] for p in pivots], len(pivots), d)
-
-
-def _span_dict(rep: QuiverRep, seeds) -> dict:
-    """Forward closure of the full seed spaces under arrow images.
-
-    Each span is an rref row basis (``linalg.row_basis``), k x dim: an
-    arrow A stacks the images S_src @ A^T onto S_tgt and reduces.
-    ``_colon_kernel`` is the same step on annihilators, run backwards.
-    One pass over the arrows in decreasing source height suffices: every
-    arrow into a source starts higher, so the span at the source is final
-    before its images are pushed to the lower target.
-    """
-    spans = _seed_spaces(rep, seeds, at_seeds=True)
-    for (src, root), mat in _arrows_by_height(rep, descending=True):
-        if not spans[src].rows:
-            continue
+    steps = []
+    for src, root in keys:
         tgt = tuple(a - b for a, b in zip(src, root.fund))
-        spans[tgt] = row_basis(spans[tgt].vstack(spans[src] @ mat.transpose()))[0]
-    return spans
+        mat = rep.arrows[(src, root)]
+        steps.append((src, tgt, mat.transpose()) if forward else (tgt, src, mat))
+    return keys, steps
 
 
-def _restrict_to_spans(rep: QuiverRep, spans: dict) -> QuiverRep:
-    """Subrepresentation on arrow-invariant subspaces given by rref row bases.
+def _closure(spaces: dict, steps) -> dict:
+    """Close rref row bases under the steps, in their order.
 
-    The restricted arrow is the unique X with S_tgt^T @ X = A @ S_src^T,
-    the solution in the basis S_tgt: the pivot rows of A @ S_src^T
-    (``_coordinates``).  The square is checked, so spans that are not
-    invariant raise AssertionError.
+    Each step (a, b, M) stacks the pushed rows spaces[a] @ M onto
+    spaces[b] and reduces (``linalg.row_basis``), skipped when spaces[a]
+    is zero or spaces[b] already the whole space.
     """
-    support = {lam: b.rows for lam, b in spans.items() if b.rows}
-    coords = {lam: _coordinates(b) for lam, b in spans.items()}
-    arrows = {}
-    for (src, root), mat in rep.arrows.items():
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
-        image = mat @ spans[src].transpose()
-        sub = coords[tgt] @ image
-        if spans[tgt].transpose() @ sub != image:
-            raise AssertionError("generated spans are not arrow-invariant")
-        arrows[(src, root)] = sub  # zero-sized off the support: dropped
-    return QuiverRep(rep.geometry, support, arrows)
+    for a, b, mat in steps:
+        if spaces[a].rows and spaces[b].rows < spaces[b].cols:
+            spaces[b] = row_basis(spaces[b].vstack(spaces[a] @ mat))[0]
+    return spaces
+
+
+def _induced(spaces: dict, steps, what: str) -> list:
+    """For each step (a, b, M) the Y with Y @ spaces[b] == spaces[a] @ M.
+
+    spaces[b] is an rref row basis, the identity in its pivot columns, so
+    Y is the pivot columns of the pushed rows.  The product is checked:
+    spaces the steps do not preserve raise AssertionError(what).
+    """
+    out = []
+    for a, b, mat in steps:
+        pushed = spaces[a] @ mat
+        pivots = [next(j for j, x in enumerate(row) if x) for row in spaces[b].num]
+        y = pushed.pick_columns(pivots)
+        if y @ spaces[b] != pushed:
+            raise AssertionError(what)
+        out.append(y)
+    return out
 
 
 def subrep_generated(rep: QuiverRep, seeds) -> QuiverRep:
-    """Smallest subrepresentation containing the full spaces at the seeds."""
-    return _restrict_to_spans(rep, _span_dict(rep, seeds))
+    """Smallest subrepresentation containing the full spaces at the seeds.
 
-
-def _colon_kernel(rep: QuiverRep, seeds) -> dict:
-    """The largest subrepresentation K whose every path image stays inside
-    the full seed spaces, given by its annihilators.
-
-    At each vertex F is the rref row basis of the functionals vanishing on
-    K, so K is the kernel of F: 0 at the seeds, I elsewhere to start.  The
-    annihilator of the preimage of K_tgt under an arrow A is spanned by
-    F_tgt @ A, and that of an intersection is the sum, so cutting K_src
-    down stacks F_tgt @ A onto F_src and reduces.  One pass over the
-    arrows in increasing source height suffices: every arrow out of a
-    target starts lower than the arrow into it, so F at the target is
-    final before it is pulled back.
+    The span S at each vertex is the forward closure of the full seed
+    spaces.  The restricted arrow X solves S_tgt^T @ X = A @ S_src^T, so it
+    is Y^T for the Y of ``_induced``; zero-sized ones are dropped.
     """
-    ann = _seed_spaces(rep, seeds, at_seeds=False)
-    for (src, root), mat in _arrows_by_height(rep, descending=False):
-        if ann[src].rows == rep.support[src]:
-            continue  # K_src is already zero
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
-        ann[src] = row_basis(ann[src].vstack(ann[tgt] @ mat))[0]
-    return ann
+    keys, steps = _arrow_steps(rep, forward=True)
+    spans = _closure(_seed_spaces(rep, seeds, at_seeds=True), steps)
+    sub = _induced(spans, steps, "generated spans are not arrow-invariant")
+    support = {lam: s.rows for lam, s in spans.items() if s.rows}
+    return QuiverRep(rep.geometry, support, {k: y.transpose() for k, y in zip(keys, sub)})
 
 
 def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
-    """Quotient by the largest subrepresentation whose every path image
-    stays inside the seed spaces (``_colon_kernel``)."""
-    return _quotient(rep, _colon_kernel(rep, seeds))
+    """Quotient by the largest subrepresentation K whose every path image
+    stays inside the seed spaces.
 
-
-def _quotient(rep: QuiverRep, ann: dict) -> QuiverRep:
-    """Quotient by arrow-invariant subspaces given by their annihilators.
-
-    The rref annihilator F of K is the projection: v -> F @ v has kernel K,
-    and F @ E^T = I for the standard vectors E^T at its pivot columns
-    (``_coordinates``).  Column j is a pivot of F exactly when e_j is not
-    in K + span(e_i, i < j), so these are the vectors a greedy extension
-    of a basis of K picks, and F @ v are the coordinates of v in that
-    complement.  The quotient arrow is X = F_tgt @ A @ E_src^T, the pivot
-    columns of F_tgt @ A.  It is well defined exactly when
-    X @ F_src = F_tgt @ A, which is checked, so the annihilators of a
-    non-invariant K raise AssertionError.
+    K is held by its annihilators F, the backward closure from 0 at the
+    seeds and everything elsewhere: the annihilator of the preimage of
+    K_tgt under A is spanned by F_tgt @ A, and that of an intersection is
+    the sum.  F is the projection onto the quotient, and the quotient
+    arrow is the X with X @ F_src = F_tgt @ A, the Y of ``_induced``.
     """
+    keys, steps = _arrow_steps(rep, forward=False)
+    ann = _closure(_seed_spaces(rep, seeds, at_seeds=False), steps)
+    quo = _induced(ann, steps, "colon kernel is not arrow-invariant")
     support = {lam: f.rows for lam, f in ann.items() if f.rows}
-    sections = {lam: _coordinates(f).transpose() for lam, f in ann.items()}
-    arrows = {}
-    for (src, root), mat in rep.arrows.items():
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
-        image = ann[tgt] @ mat
-        quo = image @ sections[src]
-        if quo @ ann[src] != image:
-            raise AssertionError("colon kernel is not arrow-invariant")
-        arrows[(src, root)] = quo  # zero-sized off the support: dropped
-    return QuiverRep(rep.geometry, support, arrows)
+    return QuiverRep(rep.geometry, support, dict(zip(keys, quo)))
 
 
 # ----- A_m-type support and Gabriel decomposition -------------------------------

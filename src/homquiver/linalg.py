@@ -162,6 +162,11 @@ class Matrix:
         mat._set(tuple(zip(*self.num)) or ((),) * self.cols, self.den, self.cols, self.rows)
         return mat
 
+    def pick_columns(self, cols) -> "Matrix":
+        """The columns at the given indices, in that order."""
+        num = tuple(tuple(row[j] for j in cols) for row in self.num)
+        return Matrix._reduced(num, self.den, self.rows, len(cols))
+
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 

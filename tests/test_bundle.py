@@ -26,7 +26,8 @@ from homquiver import (
 )
 from homquiver.linalg import Matrix, row_basis
 
-from homquiver.bundle import _colon_kernel, _quotient, _restrict_to_spans, _span_dict
+from homquiver import bundle as bundle_mod
+from homquiver.bundle import _arrow_steps, _closure, _seed_spaces
 
 from .oracles import (
     colon_kernel_oracle,
@@ -169,6 +170,23 @@ def test_direct_sum_support_and_consistency(a2):
     assert check_relations(s) == []
 
 
+def test_direct_sum_blocks_over_mixed_denominators(a2):
+    # the arrow along alpha_1 from (1, 0) is 1/2 in the first summand and
+    # the 2x1 column (2/3, 1) in the second, which also has a second vertex
+    alpha = a2.root_system.simple_root(1)
+    half = QuiverRep(a2, {(1, 0): 1, (-1, 1): 1}, {((1, 0), alpha): Matrix([["1/2"]])})
+    third = QuiverRep(
+        a2,
+        {(1, 0): 1, (-1, 1): 2, (0, 0): 1},
+        {((1, 0), alpha): Matrix([["2/3"], [1]])},
+    )
+    rep = direct_sum(half, third)
+    assert rep.support == {(1, 0): 2, (-1, 1): 3, (0, 0): 1}
+    expected = Matrix([["1/2", 0], [0, "2/3"], [0, 1]])
+    assert rep.arrows == {((1, 0), alpha): expected}
+    assert rep.arrows[((1, 0), alpha)].den == 6
+
+
 def test_line_bundle_requires_borel():
     g = build_geometry("A2", (2,))
     with pytest.raises(ValueError):
@@ -184,6 +202,13 @@ def test_builders_satisfy_relations(name):
     for rep in (tangent(g), cotangent(g)):
         assert validate(rep) == []
         assert check_relations(rep) == []
+
+
+def test_adjoint_builders_require_borel():
+    g = build_geometry("A2", (2,))
+    for builder in (tangent, cotangent):
+        with pytest.raises(ValueError, match="builder requires the Borel parabolic"):
+            builder(g)
 
 
 def test_tangent_support_is_positive_roots(a2):
@@ -274,13 +299,15 @@ def test_closures_match_fixpoint_oracles():
     # the same rref bases, and annihilators of exactly the oracle kernels
     for rep, seeds in _closure_cases():
         spans = span_closure_oracle(rep, seeds)
-        got = _span_dict(rep, seeds)
+        steps = _arrow_steps(rep, forward=True)[1]
+        got = _closure(_seed_spaces(rep, seeds, at_seeds=True), steps)
         assert got.keys() == spans.keys()
         for lam, basis in got.items():
             assert list(basis.data) == spans[lam]
         assert subrep_generated(rep, seeds) == restrict_oracle(rep, spans)
         kernel = colon_kernel_oracle(rep, seeds)
-        ann = _colon_kernel(rep, seeds)
+        steps = _arrow_steps(rep, forward=False)[1]
+        ann = _closure(_seed_spaces(rep, seeds, at_seeds=False), steps)
         assert ann.keys() == kernel.keys()
         for lam, f in ann.items():
             k = Matrix(kernel[lam], len(kernel[lam]), f.cols)
@@ -290,32 +317,34 @@ def test_closures_match_fixpoint_oracles():
         assert colon_quotient(rep, seeds) == quotient_oracle(rep, kernel)
 
 
-def test_commutative_square_checks_reject_non_invariant_spaces():
+def test_commutative_square_checks_reject_non_invariant_spaces(monkeypatch):
     # identity arrow on a 2-space, first coordinate line at the source and
     # second at the target: the image of the source line leaves the target
     # line, and the target functionals pulled back do not vanish on the
-    # kernel of the source functionals
+    # kernel of the source functionals.  Both closures are replaced by
+    # these lines, so the check in _induced is what sees them.
     g = build_geometry("A1", ())
     alpha = g.root_system.simple_root(1)
     rep = QuiverRep(g, {(2,): 2, (0,): 2}, {((2,), alpha): Matrix.identity(2)})
     line = {(2,): Matrix([[1, 0]]), (0,): Matrix([[0, 1]])}
+    monkeypatch.setattr(bundle_mod, "_closure", lambda spaces, steps: dict(line))
     with pytest.raises(AssertionError, match="generated spans are not arrow-invariant"):
-        _restrict_to_spans(rep, line)
+        subrep_generated(rep, [(2,)])
     with pytest.raises(AssertionError, match="colon kernel is not arrow-invariant"):
-        _quotient(rep, line)
+        colon_quotient(rep, [(2,)])
 
 
 def test_commutative_square_checks_survive_python_O():
     code = (
-        "from homquiver import Matrix, QuiverRep, build_geometry\n"
-        "from homquiver.bundle import _quotient, _restrict_to_spans\n"
+        "from homquiver import Matrix, QuiverRep, build_geometry, bundle\n"
         "g = build_geometry('A1')\n"
         "alpha = g.root_system.simple_root(1)\n"
         "rep = QuiverRep(g, {(2,): 2, (0,): 2}, {((2,), alpha): Matrix.identity(2)})\n"
         "line = {(2,): Matrix([[1, 0]]), (0,): Matrix([[0, 1]])}\n"
-        "for check in (_restrict_to_spans, _quotient):\n"
+        "bundle._closure = lambda spaces, steps: dict(line)\n"
+        "for build in (bundle.subrep_generated, bundle.colon_quotient):\n"
         "    try:\n"
-        "        check(rep, line)\n"
+        "        build(rep, [(2,)])\n"
         "    except AssertionError as exc:\n"
         "        print(exc)\n"
     )

@@ -1,7 +1,8 @@
 """The sparse relation engine against the dense enumeration it replaces.
 
-``check_relations`` enumerates relation instances from pairs of support
-vertices through ``relation_table``.  These tests pin that it visits
+The enumeration behind ``check_relations`` (``bundle._violated_instances``)
+visits relation instances from pairs of support vertices through
+``relation_table``.  These tests pin that it visits
 exactly the instances of ``borel_relation_instances`` whose end lies in
 the support, in the same order, and that the solver picks the same
 bracket decomposition as a scan over all root pairs.
@@ -15,6 +16,7 @@ import pytest
 import homquiver.bundle as bundle_mod
 from homquiver import build_geometry, check_relations, cotangent, load_rep, tangent
 from homquiver.quiver import (
+    RelationInstance,
     borel_relation_instances,
     relation_table,
     support_relation_instances,
@@ -54,17 +56,23 @@ def sparse_order(geom, support):
 
 
 def checked_order(rep, monkeypatch):
-    """The instances check_relations computes a residual for, in order."""
+    """The instances the full enumeration behind check_relations evaluates,
+    in order, read back from the path combinations it hands to
+    ``_combination`` (a zero coefficient drops the third term)."""
     seen = []
-    original = bundle_mod._residual
+    original = bundle_mod._combination
 
-    def recording(rep_, inst, end, delta):
+    def recording(rep_, lam, terms, end):
+        (_, (gamma, beta)), _, *rest = terms
+        coefficient = -rest[0][0] if rest else 0
+        inst = RelationInstance(lam, beta, gamma, coefficient)
+        assert end == _end(inst)
         seen.append(inst)
-        return original(rep_, inst, end, delta)
+        return original(rep_, lam, terms, end)
 
-    monkeypatch.setattr(bundle_mod, "_residual", recording)
-    violated = check_relations(rep)
-    monkeypatch.setattr(bundle_mod, "_residual", original)
+    monkeypatch.setattr(bundle_mod, "_combination", recording)
+    violated = bundle_mod._violated_instances(rep)
+    monkeypatch.setattr(bundle_mod, "_combination", original)
     return seen, violated
 
 
@@ -94,6 +102,7 @@ def test_fixture_check_order_matches_dense_enumeration(path, monkeypatch):
     seen, violated = checked_order(rep, monkeypatch)
     assert seen == dense_order(rep.geometry, rep.support)
     assert violated == dense_check(rep)
+    assert check_relations(rep) == violated
 
 
 @pytest.mark.parametrize("type_name", SMALL_TYPES)
@@ -101,7 +110,7 @@ def test_tangent_and_cotangent_check_order(type_name, monkeypatch):
     g = build_geometry(type_name)
     for rep in (tangent(g), cotangent(g)):
         seen, violated = checked_order(rep, monkeypatch)
-        assert violated == []
+        assert violated == [] == check_relations(rep)
         assert seen == dense_order(g, rep.support)
         assert seen == sparse_order(g, rep.support)
 

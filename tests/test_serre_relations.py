@@ -1,9 +1,10 @@
 """The Serre decision ``relations_hold`` against the full instance enumeration.
 
 ``relations_hold`` checks the Serre relations on the simple arrows and one
-bracket per non-simple arrow; ``check_relations`` enumerates every relation
-instance, and ``check_relations(rep, serre=True)``, the validation gate,
-enumerates only once the decision fails.  On a structurally valid Borel
+bracket per non-simple arrow; ``bundle._violated_instances`` enumerates
+every relation instance, and ``check_relations``, the relation check of the
+validation gate ``require_valid``, decides first and enumerates only once
+the decision fails.  On a structurally valid Borel
 representation they must agree: the decision passes exactly when the
 enumeration finds no violated instance.  The representations below are
 fixtures, tangent and cotangent bundles with seeded perturbations, and
@@ -12,8 +13,11 @@ brackets, where only a Serre relation can fail.
 """
 
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 
 from homquiver import (
     QuiverRep,
+    RelationError,
     build_geometry,
     check_relations,
     cotangent,
@@ -31,7 +36,7 @@ from homquiver import (
     validate,
 )
 from homquiver import bundle as bundle_mod
-from homquiver.bundle import relations_hold
+from homquiver.bundle import relations_hold, require_valid
 from homquiver.linalg import Matrix
 from homquiver.quiver import first_decompositions, relation_table
 
@@ -48,10 +53,16 @@ TABLE_TYPES = tuple(f"A{n}" for n in range(1, 9)) + tuple(
 def agree(rep) -> bool:
     """Assert the decision equals the enumeration's verdict; return it."""
     assert validate(rep) == []
-    violated = check_relations(rep)
+    violated = bundle_mod._violated_instances(rep)
     holds = violated == []
     assert relations_hold(rep) == holds
-    assert check_relations(rep, serre=True) == violated
+    assert check_relations(rep) == violated
+    if holds:
+        require_valid(rep)
+    else:
+        with pytest.raises(RelationError) as exc:
+            require_valid(rep)
+        assert list(exc.value.instances) == violated
     return holds
 
 
@@ -189,7 +200,32 @@ def test_decision_rejecting_a_consistent_bundle_is_an_error(monkeypatch):
     rep = tangent(build_geometry("A2"))
     monkeypatch.setattr(bundle_mod, "relations_hold", lambda _: False)
     with pytest.raises(AssertionError, match="relations_hold rejects"):
-        check_relations(rep, serre=True)
+        check_relations(rep)
+    with pytest.raises(AssertionError, match="relations_hold rejects"):
+        require_valid(rep)
+
+
+def test_false_rejection_is_an_error_under_python_O():
+    code = (
+        "from homquiver import build_geometry, bundle, tangent\n"
+        "rep = tangent(build_geometry('A2'))\n"
+        "bundle.relations_hold = lambda _: False\n"
+        "try:\n"
+        "    bundle.require_valid(rep)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(bundle_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("relations_hold rejects")
 
 
 @pytest.mark.parametrize("type_name", TABLE_TYPES)
