@@ -61,17 +61,25 @@ def dominantize(rs: RootSystem, v: Weight, indices=None):
     if any(c == 0 for c in inners):
         return None
     negative_count = sum(1 for c in inners if c < 0)
-    w = tuple(v)
-    length = 0
-    while True:
-        i = next((i for i in indices if w[i - 1] < 0), None)
-        if i is None:
-            break
-        w = rs.simple_reflect(w, i)
-        length += 1
+    length, w = reflect_to_dominant(rs, v, indices)
     if length != negative_count:
         raise AssertionError("reflection count disagrees with inversion count")
     return length, w
+
+
+def reflect_to_dominant(rs: RootSystem, v: Weight, indices) -> tuple:
+    """``(length, w)``: v reflected at its first negative coordinate among
+    the 1-based ``indices`` until none is negative, and the count."""
+    w = tuple(v)
+    length = 0
+    while True:
+        for i in indices:
+            if w[i - 1] < 0:
+                break
+        else:
+            return length, w
+        w = rs.simple_reflect(w, i)
+        length += 1
 
 
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:

@@ -1,8 +1,9 @@
 """Representation theory of the Levi factor.
 
-Weight multiplicities via the Freudenthal recursion, tensor decompositions
-via the Brauer-Klimyk rule, the Levi-module decomposition of the
-nilradical, and the arrow multiplicity of the quiver, which the
+Weight multiplicities via the Freudenthal recursion, run at the
+Levi-dominant weights only and spread over their W_L-orbits; tensor
+decompositions via the Brauer-Klimyk rule; the Levi-module decomposition
+of the nilradical; and the arrow multiplicity of the quiver, which the
 minuscule criterion decides without a tensor decomposition.
 
 Torus directions (fundamental coordinates outside the Levi subset) ride
@@ -13,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
-from .bott import dominantize, sub_positive_roots
+from .bott import dominantize, reflect_to_dominant, sub_positive_roots
 from .geometry import ParabolicGeometry
 from .rootsystem import Weight
 
@@ -33,70 +35,71 @@ _WEIGHT_CACHE_SIZE = 128
 def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
     """Weight system of the Levi-irreducible with highest weight lam.
 
-    Freudenthal recursion with the ambient invariant form and the Levi
-    rho-shift, descending level by level from lam.  Returns a tuple of
-    (weight, multiplicity) pairs, multiplicities positive.  Norms are
-    taken with the integer Gram form, scaled by ``gram_scale``, so the
-    recursion runs in integers only.
+    Returns sorted (weight, multiplicity) pairs, multiplicities positive.
+    The Freudenthal recursion, with the ambient invariant form and the
+    Levi rho-shift, runs only at the Levi-dominant weights, in increasing
+    depth (the Levi height of lam - mu); their W_L-orbits give the rest.
+    This is exact: multiplicities are W_L-invariant, so m(mu + k*alpha)
+    is m(dominant(mu + k*alpha)), found at a smaller depth; alpha-strings
+    are unbroken, so each ends at its first missing weight; and every
+    dominant weight below lam is reached from lam by subtracting positive
+    roots through dominant weights (Stembridge, 1998).  Each of these has
+    a positive multiplicity.  Norms are taken with the integer Gram form,
+    scaled by ``gram_scale``, so the recursion runs in integers only.
     """
     _require_p_dominant(geom, lam)
     rs = geom.root_system
     scale = rs.gram_scale
+    levi = geom.levi
     rho_l = geom.rho_levi
-    pos_l = sub_positive_roots(rs, frozenset(geom.levi))
-    simples = [rs.simple_root(i).fund for i in geom.levi]
-    # Every weight is lam minus steps[p] copies of the p-th Levi simple
-    # root, and mu + k*alpha can be a weight only while no count of
-    # lam - mu - k*alpha goes negative.
-    strings = [
-        (alpha, tuple((p, alpha.simple[i - 1]) for p, i in enumerate(geom.levi)
-                      if alpha.simple[i - 1]))
-        for alpha in pos_l
-    ]
+    pos_l = sub_positive_roots(rs, frozenset(levi))
     lam_shift = tuple(a + b for a, b in zip(lam, rho_l))
     top_norm = rs.scaled_inner(lam_shift, lam_shift)
 
     mult = {lam: 1}
-    steps = {lam: (0,) * len(simples)}
-    level = [lam]
-    while level:
-        candidates = {}
-        for nu in level:
-            below = steps[nu]
-            for p, alpha in enumerate(simples):
-                mu = tuple(a - b for a, b in zip(nu, alpha))
-                candidates[mu] = below[:p] + (below[p] + 1,) + below[p + 1:]
-        nxt = []
-        for mu in sorted(candidates):
-            below = candidates[mu]
-            num = 0
-            for alpha, support in strings:
-                top = min(below[p] // c for p, c in support)
-                if not top:
-                    continue
-                # (mu + k*alpha, alpha) is (mu, alpha) + 2k.
-                pairing = sum(a * b for a, b in zip(mu, alpha.simple))
-                for k in range(1, top + 1):
-                    m_up = mult.get(tuple(a + k * b for a, b in zip(mu, alpha.fund)), 0)
-                    if m_up:
+    pending = {0: {lam}}  # dominant weights by depth
+    depth = 0
+    while pending:
+        for mu in pending.pop(depth, ()):
+            if mu != lam:
+                num = 0
+                for alpha in pos_l:
+                    # (mu + k*alpha, alpha) is (mu, alpha) + 2k.
+                    pairing = sum(a * b for a, b in zip(mu, alpha.simple))
+                    for k in count(1):
+                        up = tuple(a + k * b for a, b in zip(mu, alpha.fund))
+                        m_up = mult.get(reflect_to_dominant(rs, up, levi)[1])
+                        if not m_up:
+                            break
                         num += m_up * (pairing + 2 * k)
-            mu_shift = tuple(a + b for a, b in zip(mu, rho_l))
-            den = top_norm - rs.scaled_inner(mu_shift, mu_shift)
-            if den <= 0:
-                if num != 0:
+                mu_shift = tuple(a + b for a, b in zip(mu, rho_l))
+                den = top_norm - rs.scaled_inner(mu_shift, mu_shift)
+                if den <= 0:
                     raise AssertionError("Freudenthal denominator vanished on a weight")
-                continue
-            m, r = divmod(2 * num * scale, den)
-            if r or m < 0:
-                raise AssertionError(
-                    f"Freudenthal multiplicity {Fraction(2 * num * scale, den)} at {mu}"
-                )
-            if m > 0:
+                m, r = divmod(2 * num * scale, den)
+                if r or m <= 0:
+                    raise AssertionError(
+                        f"Freudenthal multiplicity {Fraction(2 * num * scale, den)} at {mu}"
+                    )
                 mult[mu] = m
-                steps[mu] = below
-                nxt.append(mu)
-        level = nxt
-    return tuple(sorted(mult.items()))
+            for alpha in pos_l:
+                nu = tuple(a - b for a, b in zip(mu, alpha.fund))
+                if all(nu[i - 1] >= 0 for i in levi):
+                    pending.setdefault(depth + alpha.height, set()).add(nu)
+        depth += 1
+
+    weights = dict(mult)
+    orbits = list(mult)
+    for nu in orbits:
+        for i in levi:
+            if nu[i - 1] > 0:
+                w = rs.simple_reflect(nu, i)
+                if w not in weights:
+                    weights[w] = weights[nu]
+                    orbits.append(w)
+    if sum(weights.values()) != levi_weyl_dim(geom, lam):
+        raise AssertionError(f"Freudenthal weights of {lam} miss its Weyl dimension")
+    return tuple(sorted(weights.items()))
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE)

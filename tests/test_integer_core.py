@@ -12,7 +12,7 @@ import random
 import pytest
 
 from homquiver import build_geometry, build_root_system, quiver_window
-from homquiver.levi import arrow_multiplicity, freudenthal
+from homquiver.levi import arrow_multiplicity, freudenthal, levi_weyl_dim
 
 from .oracles import (
     arrow_multiplicity_oracle,
@@ -105,6 +105,56 @@ def test_freudenthal_matches_fraction_recursion_on_maximal_levis(name):
         for i in levi:
             lam = tuple(int(j == i) for j in range(1, rank + 1))
             assert freudenthal(geom, lam) == freudenthal_oracle(geom, lam), (levi, lam)
+
+
+# The Fraction oracle's cost grows quickly with the module (D4 with
+# lam = (2, 2, 2, 2) alone takes it about 8 s), so the sweeps below compare
+# the modules up to this dimension.
+_ORACLE_DIM = 100
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_freudenthal_matches_fraction_recursion_on_rank_four_levis(name):
+    # Levi coordinates 0 to 2; the first torus coordinate, if any, cycles
+    # through -2, 0 and 2.
+    torus_values = itertools.cycle((-2, 0, 2))
+    compared = 0
+    for levi in _all_levis(4):
+        geom = build_geometry(name, levi)
+        torus = [i for i in range(1, 5) if i not in levi]
+        for coords in itertools.product(range(3), repeat=len(levi)):
+            lam = [0] * 4
+            for i, c in zip(levi, coords):
+                lam[i - 1] = c
+            if torus:
+                lam[torus[0] - 1] = next(torus_values)
+            lam = tuple(lam)
+            if levi_weyl_dim(geom, lam) <= _ORACLE_DIM:
+                assert freudenthal(geom, lam) == freudenthal_oracle(geom, lam), (levi, lam)
+                compared += 1
+    assert compared > 150
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_freudenthal_matches_fraction_recursion_on_two_fundamental_weights(name):
+    # omega_i + omega_j has several dominant weights below it and
+    # multiplicities above 1.
+    rank = build_root_system(name).rank
+    several = above_one = 0
+    for levi in _maximal_levis(rank):
+        geom = build_geometry(name, levi)
+        for i, j in itertools.combinations(levi, 2):
+            lam = tuple(int(k == i) + int(k == j) for k in range(1, rank + 1))
+            if levi_weyl_dim(geom, lam) > _ORACLE_DIM:
+                continue
+            weights = freudenthal(geom, lam)
+            assert weights == freudenthal_oracle(geom, lam), (levi, lam)
+            dominant = [
+                m for mu, m in weights if all(mu[k - 1] >= 0 for k in geom.levi)
+            ]
+            several += len(dominant) > 1
+            above_one += max(dominant) > 1
+    assert several and above_one
 
 
 def _arrow_cases():

@@ -167,3 +167,28 @@ def test_weight_keyed_memos_are_bounded():
     # the process runs.
     for memo in (freudenthal, levi_weyl_dim):
         assert memo.cache_info().maxsize is not None
+
+
+def test_freudenthal_recursion_runs_over_dominant_weights_only():
+    # The D5 Levi of E6 with lam = rho_L: 13,213 weights, 2^20 in all
+    # (dim V(rho) = 2^|Phi+|), of which only 44 are dominant.
+    import time
+
+    g = build_geometry("E6", (1, 2, 3, 4, 5))
+    lam = (1, 1, 1, 1, 1, 0)
+    start = time.perf_counter()
+    weights = freudenthal.__wrapped__(g, lam)  # past the memo
+    elapsed = time.perf_counter() - start
+    assert len(weights) == 13213
+    assert sum(m for _, m in weights) == 1048576 == levi_weyl_dim(g, lam)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_freudenthal_checks_its_total_against_the_weyl_dimension(monkeypatch):
+    # An explicit raise, so that it also holds under python -O.
+    from homquiver import levi
+
+    g = build_geometry("A3", (1, 2))
+    monkeypatch.setattr(levi, "levi_weyl_dim", lambda geom, lam: 7)
+    with pytest.raises(AssertionError, match="Weyl dimension"):
+        levi.freudenthal.__wrapped__(g, (1, 1, 0))
