@@ -9,33 +9,28 @@ are determined by the generating ones: ``solve_derived_arrows`` performs
 that completion or reports the violated instances.
 
 Whether the relations hold is decided by Serre's theorem (Humphreys,
-*Introduction to Lie Algebras and Representation Theory*, 18.1-18.3):
-``relations_hold`` checks the Serre relations on the simple arrows and
-one bracket per non-simple arrow.  The simple arrows then define a Lie
-algebra map phi from n^-, and by induction on height each given arrow
-f_delta = (1/N)[f_beta, f_gamma] is phi(e_-delta), so every bracket
-relation holds as it does in n^- (the ``quiver`` module docstring has
-the proof sketch).  ``check_relations``, the relation check of the gate
-``require_valid``, decides with it and enumerates every relation
-instance only for a rejected representation, to list the violated ones.
-Both evaluate relations as linear combinations of arrow paths
-(``_combination``).
+*Introduction to Lie Algebras and Representation Theory*, 18.1-18.3; the
+``quiver`` module docstring has the proof sketch): ``relations_hold``
+checks the Serre relations on the simple arrows, and that completing the
+simple arrows by their brackets (``_complete``, also the solver's core)
+gives back every arrow.  ``check_relations``, the relation check of the
+gate ``require_valid``, decides with it and lists the violated instances
+only for a rejected representation.  All three work from the arrows the
+representation has: a relation can fail at lam only where one of its
+paths leaves lam, so each visits only such vertices, and each evaluates
+a relation as a linear combination of arrow paths (``_combination``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .geometry import ParabolicGeometry, build_geometry
 from .linalg import Matrix, row_basis
-from .quiver import (
-    derived_relations,
-    first_decompositions,
-    serre_relations,
-    support_relation_instances,
-)
+from .quiver import RelationInstance, first_decompositions, serre_relations
 from .rootsystem import Root, Weight
 
 
@@ -45,6 +40,11 @@ class RelationError(Exception):
     def __init__(self, instances):
         self.instances = tuple(instances)
         super().__init__(f"{len(self.instances)} violated relation instance(s)")
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    """The coordinatewise difference x - y."""
+    return tuple(map(operator.sub, x, y))
 
 
 class QuiverRep:
@@ -95,7 +95,7 @@ class QuiverRep:
 
     def arrow(self, src: Weight, root: Root) -> Matrix:
         """Arrow matrix from src in direction root; zero map when absent."""
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        tgt = _sub(src, root.fund)
         mat = self.arrows.get((tuple(src), root))
         if mat is None:
             return Matrix.zeros(self.dim(tgt), self.dim(src))
@@ -116,7 +116,7 @@ class QuiverRep:
             if step is None:
                 return Matrix.zeros(self.dim(end), self.dim(src))
             mat = step if mat is None else step @ mat
-            cur = tuple(a - b for a, b in zip(cur, root.fund))
+            cur = _sub(cur, root.fund)
         return Matrix.identity(self.dim(src)) if mat is None else mat
 
 
@@ -135,7 +135,7 @@ def validate(rep: QuiverRep) -> list:
     if errors:
         return errors
     for (src, root), mat in rep.arrows.items():
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        tgt = _sub(src, root.fund)
         if src not in rep.support:
             errors.append(f"arrow {src} -{root.simple}->: source not in support")
             continue
@@ -170,48 +170,125 @@ def _combination(rep: QuiverRep, lam: Weight, terms, end: Weight) -> Matrix:
     return total
 
 
-def _relations_vanish(rep: QuiverRep, relations) -> bool:
-    """Whether each relation vanishes at every support vertex whose end
-    lies in the support (relations as in ``quiver.serre_relations``)."""
-    for lam in rep.support:
-        for shift, terms in relations:
-            end = tuple(a - b for a, b in zip(lam, shift))
-            if end in rep.support and not _combination(rep, lam, terms, end).is_zero():
-                return False
+def _group(pairs) -> dict:
+    """The second components of the pairs, listed by the first."""
+    out = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return out
+
+
+def _serre_vanish(rep: QuiverRep) -> bool:
+    """Whether each Serre relation vanishes at every vertex whose end lies
+    in the support.  A relation can fail at lam only if one of its paths
+    leaves lam, so it is evaluated only at the sources of the arrows in
+    the first root of one of its paths."""
+    relations = serre_relations(rep.geometry.root_system)
+    by_first = _group((path[0], k) for k, (_, terms) in enumerate(relations) for _, path in terms)
+    pending = {(lam, k) for lam, root in rep.arrows for k in by_first.get(root, ())}
+    for lam, k in pending:
+        shift, terms = relations[k]
+        end = _sub(lam, shift)
+        if end in rep.support and not _combination(rep, lam, terms, end).is_zero():
+            return False
     return True
+
+
+def _complete(rep: QuiverRep) -> QuiverRep:
+    """rep's simple arrows and, by increasing height, each derived arrow
+    f_delta = (1/N)[f_beta, f_gamma] on the first decomposition of delta.
+
+    The bracket at lam is nonzero only where a 2-path beta,gamma or
+    gamma,beta leaves lam, so only those sources are visited, in sorted
+    order, and only when lam and its end lie in the support.
+    """
+    rs = rep.geometry.root_system
+    simples = set(rs.positive_roots[: rs.rank])
+    arrows = {key: mat for key, mat in rep.arrows.items() if key[1] in simples}
+    work = QuiverRep(rep.geometry, rep.support, arrows)
+    sources = _group((root, lam) for lam, root in work.arrows)
+    for delta, (beta, gamma, n) in first_decompositions(rs).items():
+        starts = {
+            lam
+            for first, second in ((beta, gamma), (gamma, beta))
+            for lam in sources.get(first, ())
+            if (_sub(lam, first.fund), second) in work.arrows
+        }
+        bracket = ((1, (gamma, beta)), (-1, (beta, gamma)))
+        for lam in sorted(starts):
+            tgt = _sub(lam, delta.fund)
+            if lam in rep.support and tgt in rep.support:
+                mat = _combination(work, lam, bracket, tgt).scale(Fraction(1, n))
+                if not mat.is_zero():
+                    work.arrows[(lam, delta)] = mat
+                    sources.setdefault(delta, []).append(lam)
+    return work
 
 
 def relations_hold(rep: QuiverRep) -> bool:
     """Whether a structurally valid Borel representation satisfies every
     relation instance: the Serre relations on the simple arrows, and each
-    non-simple arrow equal to its bracket on the first decomposition."""
-    geom = rep.geometry
-    if not geom.is_borel:
+    non-simple arrow equal to its bracket on the first decomposition.
+
+    The second part is ``_complete(rep).arrows == rep.arrows``: by
+    induction on height, as ``Matrix`` is canonical and no arrow is zero.
+    """
+    if not rep.geometry.is_borel:
         raise ValueError("relations are only known for the Borel parabolic")
-    rs = geom.root_system
-    return _relations_vanish(rep, serre_relations(rs) + derived_relations(rs))
+    return _serre_vanish(rep) and _complete(rep).arrows == rep.arrows
+
+
+def _decompositions(rs, index: dict, delta: Root) -> list:
+    """The (i, j), i < j, of the positive roots (``index``) summing to delta."""
+    out = []
+    for beta in rs.positive_roots[: index[delta]]:
+        gamma = rs.root(_sub(delta.simple, beta.simple))
+        if gamma is not None and gamma.is_positive and index[beta] < index[gamma]:
+            out.append((index[beta], index[gamma]))
+    return out
 
 
 def _violated_instances(rep: QuiverRep) -> list:
-    """Every relation instance of a Borel representation whose source and
-    end lie in the support, evaluated; the violated ones, in order.
+    """The violated relation instances of a Borel representation whose
+    arrows are in positive directions, by source and then by the (i, j)
+    positions of the root pair in ``positive_roots``.
 
-    With arrows recording the action of the negative-root generators, the
-    bracket identity reads: (path gamma then beta) - (path beta then gamma)
-    = N(-beta,-gamma) * (direct arrow for delta = beta+gamma), all maps
-    from the source to the end; an instance is violated when the two sides
-    differ.
+    An instance at lam for beta, gamma reads (path gamma then beta) -
+    (path beta then gamma) = N(-beta,-gamma) * (direct arrow for delta =
+    beta+gamma), maps from lam to its end.  It is a sum of zero maps unless
+    one of its paths exists, so the candidates at lam are the pairs of the
+    2-paths leaving lam and the decompositions of the arrows leaving it.
     """
+    rs = rep.geometry.root_system
+    pos = rs.positive_roots
+    index = {root: k for k, root in enumerate(pos)}
+    out_roots = _group(rep.arrows)
+    roots = {root for _, root in rep.arrows}
+    decompositions = {root: _decompositions(rs, index, root) for root in roots}
+    relation = {}  # (i, j) -> (beta + gamma, N, terms), built once per pair
     violated = []
-    for inst, end, delta in support_relation_instances(rep.geometry, rep.support):
-        if rep.dim(inst.source) == 0 or rep.dim(end) == 0:
-            continue  # the relation lands in a zero space
-        beta, gamma = inst.beta, inst.gamma
-        terms = ((1, (gamma, beta)), (-1, (beta, gamma)))
-        if inst.coefficient:
-            terms += ((-inst.coefficient, (delta,)),)
-        if not _combination(rep, inst.source, terms, end).is_zero():
-            violated.append(inst)
+    for lam in sorted(rep.support):
+        pairs = set()
+        for first in out_roots.get(lam, ()):
+            pairs.update(decompositions[first])
+            for second in out_roots.get(_sub(lam, first.fund), ()):
+                if second != first:
+                    pairs.add(tuple(sorted((index[first], index[second]))))
+        for i, j in sorted(pairs):
+            beta, gamma = pos[i], pos[j]
+            if (i, j) not in relation:
+                n = rs.chevalley(-beta, -gamma)
+                terms = ((1, (gamma, beta)), (-1, (beta, gamma)))
+                if n:
+                    delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple)))
+                    terms += ((-n, (delta,)),)
+                relation[i, j] = (tuple(map(operator.add, beta.fund, gamma.fund)), n, terms)
+            shift, n, terms = relation[i, j]
+            end = _sub(lam, shift)
+            if rep.dim(lam) == 0 or rep.dim(end) == 0:
+                continue  # the relation lands in a zero space
+            if not _combination(rep, lam, terms, end).is_zero():
+                violated.append(RelationInstance(lam, beta, gamma, n))
     return violated
 
 
@@ -220,8 +297,8 @@ def check_relations(rep: QuiverRep) -> list:
     representation (empty = ok).
 
     ``relations_hold`` decides; only a rejected representation pays for
-    enumerating every instance to list the violated ones, and a rejection
-    that lists nothing is a fault of the decision.
+    listing the violated instances, and a rejection that lists nothing is
+    a fault of the decision.
     """
     if relations_hold(rep):
         return []
@@ -259,27 +336,12 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     raised when no consistent completion exists.  Non-generating arrows
     present in the input are ignored and recomputed.
     """
-    geom = rep.geometry
-    if not geom.is_borel:
+    if not rep.geometry.is_borel:
         raise ValueError("solve_derived_arrows needs the Borel parabolic")
-    rs = geom.root_system
-    simples = set(rs.positive_roots[: rs.rank])
-    arrows = {
-        key: mat for key, mat in rep.arrows.items() if key[1] in simples
-    }
-    work = QuiverRep(geom, rep.support, arrows)
-    for delta, (beta, gamma, n) in first_decompositions(rs).items():
-        bracket = ((1, (gamma, beta)), (-1, (beta, gamma)))
-        for lam in sorted(rep.support):
-            tgt = tuple(a - b for a, b in zip(lam, delta.fund))
-            if tgt not in rep.support:
-                continue
-            mat = _combination(work, lam, bracket, tgt).scale(Fraction(1, n))
-            if not mat.is_zero():
-                work.arrows[(lam, delta)] = mat
+    work = _complete(rep)
     # The Serre check needs well-formed arrows; otherwise the full
     # enumeration reports, as it does for a rejected completion.
-    if validate(work) or not _relations_vanish(work, serre_relations(rs)):
+    if validate(work) or not _serre_vanish(work):
         violated = _violated_instances(work)
         if violated:
             raise RelationError(violated)
@@ -324,7 +386,7 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
     arrows = {}
     keys = sorted({k for r in reps for k in r.arrows})
     for src, root in keys:
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        tgt = _sub(src, root.fund)
         blocks = [
             (r.arrows[(src, root)], off) for r, off in zip(reps, offsets)
             if (src, root) in r.arrows
@@ -359,7 +421,7 @@ def _adjoint(geom: ParabolicGeometry, sign: int) -> QuiverRep:
     arrows = {}
     for r in roots:
         for gamma in rs.positive_roots[: rs.rank]:
-            if tuple(a - b for a, b in zip(r.fund, gamma.fund)) in support:
+            if _sub(r.fund, gamma.fund) in support:
                 arrows[(r.fund, gamma)] = Matrix([[rs.chevalley(-gamma, r)]])
     return solve_derived_arrows(QuiverRep(geom, support, arrows))
 
@@ -406,7 +468,7 @@ def _arrow_steps(rep: QuiverRep, forward: bool) -> tuple:
     )
     steps = []
     for src, root in keys:
-        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        tgt = _sub(src, root.fund)
         mat = rep.arrows[(src, root)]
         steps.append((src, tgt, mat.transpose()) if forward else (tgt, src, mat))
     return keys, steps
@@ -524,7 +586,7 @@ def is_am_type(rep: QuiverRep):
         top = max(verts, key=lambda v: sum(x * y for x, y in zip(v, beta.simple)))
         steps = {}
         for v in verts:
-            q = _chain_step(tuple(a - b for a, b in zip(top, v)), beta.fund)
+            q = _chain_step(_sub(top, v), beta.fund)
             if q is None:
                 break
             steps[q] = v

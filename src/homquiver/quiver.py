@@ -9,9 +9,9 @@ Relations are only defined for the Borel case.  There the arrows in
 direction beta act as the Chevalley basis vector e_-beta of n^-, written
 f_beta, and the relations are the commutation relations
 [f_beta, f_gamma] = N(-beta, -gamma) f_(beta+gamma).  An instance at lam
-for the pair {beta, gamma} ends at lam - beta - gamma, so the instances
-between two support vertices are read off a per-root-system table of the
-pairs with a given sum (``relation_table``).
+for the pair {beta, gamma} ends at lam - beta - gamma, and it can fail
+only where one of its paths exists: the 2-path beta,gamma or gamma,beta,
+or the direct arrow beta + gamma.
 
 Deciding whether every instance holds needs far fewer equations, by
 Serre's theorem (Humphreys, *Introduction to Lie Algebras and
@@ -22,12 +22,12 @@ arrows f_i satisfy these (``serre_relations``), there is a Lie algebra
 map phi from n^- with phi(e_-alpha_i) = f_i.  If moreover each
 non-simple arrow equals f_delta = (1/N)[f_beta, f_gamma] for one
 decomposition delta = beta + gamma, N = N(-beta, -gamma)
-(``derived_relations`` on ``first_decompositions``), then by induction
-on the height of delta, f_delta = (1/N)[phi(e_-beta), phi(e_-gamma)] =
-phi(e_-delta).  So the arrows are the image of n^- under phi, and every
-bracket relation holds because it holds in n^-.  Conversely the Serre
-relations follow from the instances and the derived relations are
-instances, so the two conditions hold exactly when every instance does.
+(``first_decompositions``), then by induction on the height of delta,
+f_delta = (1/N)[phi(e_-beta), phi(e_-gamma)] = phi(e_-delta).  So the
+arrows are the image of n^- under phi, and every bracket relation holds
+because it holds in n^-.  Conversely the Serre relations and these
+brackets are consequences of the instances, so the two conditions hold
+exactly when every instance does.
 """
 
 from __future__ import annotations
@@ -144,42 +144,18 @@ def borel_relation_instances(geom: ParabolicGeometry, support) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def relation_table(rs: RootSystem) -> dict:
-    """Unordered pairs of distinct positive roots, grouped by their sum.
-
-    Maps the sum beta + gamma, in fundamental coordinates, to ``(delta,
-    entries)``: ``delta`` is the Root beta + gamma or None when the sum is
-    no root, and ``entries`` lists ``(i, j, beta, gamma, N(-beta, -gamma))``
-    with ``i < j`` indices into ``rs.positive_roots``, in increasing (i, j)
-    order, the order of ``borel_relation_instances``.  The table is
-    cached and shared; callers must not mutate it.
-    """
-    pos = rs.positive_roots
-    table = {}
-    for i, beta in enumerate(pos):
-        for j in range(i + 1, len(pos)):
-            gamma = pos[j]
-            key = tuple(a + b for a, b in zip(beta.fund, gamma.fund))
-            if key not in table:
-                total = tuple(a + b for a, b in zip(beta.simple, gamma.simple))
-                table[key] = (rs.root(total), [])
-            table[key][1].append((i, j, beta, gamma, rs.chevalley(-beta, -gamma)))
-    return {key: (delta, tuple(entries)) for key, (delta, entries) in table.items()}
-
-
-@lru_cache(maxsize=None)
 def first_decompositions(rs: RootSystem) -> dict:
     """Each non-simple positive root delta -> (beta, gamma, N(-beta, -gamma)).
 
-    delta = beta + gamma is the first decomposition in root-pair order,
-    the first entry of ``relation_table`` at delta.  Scanning beta in root
-    order and looking up delta - beta finds it: were gamma earlier than
-    beta, the scan would have stopped at gamma.  Keys come in root order,
-    so by increasing height.  Cached and shared; callers must not mutate.
+    delta = beta + gamma is the first decomposition in root-pair order:
+    beta is the earliest positive root with delta - beta one (were gamma
+    earlier, it would be that root).  Some simple root is such a beta, and
+    the simple roots come first, so only they are scanned.  Keys come in
+    root order, by increasing height.  Cached; callers must not mutate.
     """
     out = {}
-    for delta in rs.positive_roots:
-        for beta in rs.positive_roots:
+    for delta in rs.positive_roots[rs.rank:]:
+        for beta in rs.positive_roots[: rs.rank]:
             gamma = rs.root(tuple(d - b for d, b in zip(delta.simple, beta.simple)))
             if gamma is not None and gamma.is_positive:
                 out[delta] = (beta, gamma, rs.chevalley(-beta, -gamma))
@@ -213,43 +189,3 @@ def serre_relations(rs: RootSystem) -> tuple:
                 shift = tuple(x + y for x, y in zip(a.fund, b.fund))
                 out.append((shift, ((1, (a, b)), (-1, (b, a)))))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def derived_relations(rs: RootSystem) -> tuple:
-    """N f_delta = [f_beta, f_gamma] for each first decomposition of delta."""
-    return tuple(
-        (delta.fund, ((1, (gamma, beta)), (-1, (beta, gamma)), (-n, (delta,))))
-        for delta, (beta, gamma, n) in first_decompositions(rs).items()
-    )
-
-
-def support_relation_instances(geom: ParabolicGeometry, support):
-    """Relation instances whose source and end both lie in support (Borel only).
-
-    Yields ``(instance, end, delta)`` with ``end = source - beta - gamma``
-    and ``delta`` the Root beta + gamma (None when the sum is no root).
-    The instances come in the order of ``borel_relation_instances``
-    restricted to ends in the support: by source, then by the (i, j)
-    index of the root pair.  Ends are found by subtracting every support
-    vertex or every table key from the source, whichever set is smaller.
-    """
-    if not geom.is_borel:
-        raise ValueError("relations are only known for the Borel parabolic")
-    table = relation_table(geom.root_system)
-    support = set(support)
-    by_key = len(table) < len(support)
-    for lam in sorted(support):
-        if by_key:
-            pairs = ((key, tuple(a - b for a, b in zip(lam, key))) for key in table)
-            ends = [(key, end) for key, end in pairs if end in support]
-        else:
-            pairs = ((tuple(a - b for a, b in zip(lam, mu)), mu) for mu in support)
-            ends = [(key, mu) for key, mu in pairs if key in table]
-        found = []
-        for key, end in ends:
-            delta, entries = table[key]
-            found.extend(entry + (end, delta) for entry in entries)
-        found.sort(key=lambda t: t[:2])  # the (i, j) pair index
-        for _, _, beta, gamma, n, end, delta in found:
-            yield RelationInstance(lam, beta, gamma, n), end, delta

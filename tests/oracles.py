@@ -8,8 +8,9 @@ principles so that agreement is meaningful.
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
-from homquiver import QuiverRep, build_geometry, direct_sum, irreducible
+from homquiver import QuiverRep, RelationInstance, build_geometry, direct_sum, irreducible
 from homquiver.linalg import Matrix
 
 
@@ -529,6 +530,51 @@ def quiver_window_oracle(geom, center, radius):
         frontier = nxt
     found = [a for v in sorted(vertices) for a in arrows(v) if a[2] in vertices]
     return tuple(sorted(vertices)), tuple(found)
+
+
+# ----- Pair tables of the Borel relations --------------------------------------
+
+
+@lru_cache(maxsize=None)
+def relation_table(rs):
+    """Unordered pairs of distinct positive roots, grouped by their sum.
+
+    Maps the sum beta + gamma, in fundamental coordinates, to ``(delta,
+    entries)``: ``delta`` is the Root beta + gamma or None when the sum is
+    no root, and ``entries`` lists ``(i, j, beta, gamma, N(-beta, -gamma))``
+    with ``i < j`` indices into ``rs.positive_roots``, in increasing (i, j)
+    order.  Cached and shared; callers must not mutate it.
+    """
+    pos = rs.positive_roots
+    table = {}
+    for i, beta in enumerate(pos):
+        for j in range(i + 1, len(pos)):
+            gamma = pos[j]
+            key = tuple(a + b for a, b in zip(beta.fund, gamma.fund))
+            if key not in table:
+                total = tuple(a + b for a, b in zip(beta.simple, gamma.simple))
+                table[key] = (rs.root(total), [])
+            table[key][1].append((i, j, beta, gamma, rs.chevalley(-beta, -gamma)))
+    return {key: (delta, tuple(entries)) for key, (delta, entries) in table.items()}
+
+
+def support_relation_instances(geom, support):
+    """Relation instances whose source and end both lie in support, from
+    the pair table: ``(instance, end, delta)`` with ``end = source - beta
+    - gamma`` and ``delta`` the Root beta + gamma (None when the sum is no
+    root), by source and then by the (i, j) index of the root pair."""
+    table = relation_table(geom.root_system)
+    support = set(support)
+    for lam in sorted(support):
+        found = []
+        for mu in support:
+            key = tuple(a - b for a, b in zip(lam, mu))
+            if key in table:
+                delta, entries = table[key]
+                found.extend(entry + (mu, delta) for entry in entries)
+        found.sort(key=lambda t: t[:2])
+        for _, _, beta, gamma, n, end, delta in found:
+            yield RelationInstance(lam, beta, gamma, n), end, delta
 
 
 # ----- Entrywise Fraction reference for linalg.Matrix ------------------------

@@ -1,28 +1,35 @@
-"""The sparse relation engine against the dense enumeration it replaces.
+"""The relation listing against the dense enumeration it replaces.
 
-The enumeration behind ``check_relations`` (``bundle._violated_instances``)
-visits relation instances from pairs of support vertices through
-``relation_table``.  These tests pin that it visits
-exactly the instances of ``borel_relation_instances`` whose end lies in
-the support, in the same order, and that the solver picks the same
-bracket decomposition as a scan over all root pairs.
+The listing behind ``check_relations`` (``bundle._violated_instances``)
+evaluates, at each source, the instances one of whose paths exists: the
+pairs of the 2-paths leaving it and the decompositions of its non-simple
+arrows.  These tests pin that it evaluates a subsequence of the instances
+of ``borel_relation_instances`` whose end lies in the support, every
+instance with a full path among them, and lists exactly the violated
+ones of the dense check; and that the solver picks the same bracket
+decomposition as a scan over all root pairs.
 """
 
 import pathlib
 import random
+import time
 
 import pytest
 
 import homquiver.bundle as bundle_mod
-from homquiver import build_geometry, check_relations, cotangent, load_rep, tangent
-from homquiver.quiver import (
-    RelationInstance,
-    borel_relation_instances,
-    relation_table,
-    support_relation_instances,
+from homquiver import (
+    QuiverRep,
+    build_geometry,
+    check_relations,
+    cotangent,
+    h0,
+    load_rep,
+    tangent,
 )
+from homquiver.linalg import Matrix
+from homquiver.quiver import RelationInstance, borel_relation_instances
 
-from .oracles import path_matrix
+from .oracles import path_matrix, relation_table, support_relation_instances
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SMALL_TYPES = ("A2", "A3", "A4", "D4", "D5", "E6")
@@ -95,13 +102,53 @@ def dense_check(rep):
     return violated
 
 
+def has_path(rep, inst):
+    """Whether a full 2-path or the direct arrow of the instance exists."""
+    lam, beta, gamma = inst.source, inst.beta, inst.gamma
+    for first, second in ((beta, gamma), (gamma, beta)):
+        mid = tuple(a - b for a, b in zip(lam, first.fund))
+        if (lam, first) in rep.arrows and (mid, second) in rep.arrows:
+            return True
+    if not inst.coefficient:
+        return False
+    rs = rep.geometry.root_system
+    delta = rs.root(tuple(a + b for a, b in zip(beta.simple, gamma.simple)))
+    return (lam, delta) in rep.arrows
+
+
+def check_listing(rep, monkeypatch):
+    """Assert the listing evaluates a subsequence of the dense order that
+    holds every instance with a full path, and lists the dense check's
+    violated instances; return the evaluated and the violated ones."""
+    seen, violated = checked_order(rep, monkeypatch)
+    dense = dense_order(rep.geometry, rep.support)
+    rest = iter(dense)
+    assert all(inst in rest for inst in seen)  # a subsequence, in order
+    assert set(seen) >= {inst for inst in dense if has_path(rep, inst)}
+    assert violated == dense_check(rep)
+    return seen, violated
+
+
+def with_random_arrows(geom, support, rng):
+    """support (each vertex of dimension 1 or 2) with a random matrix on
+    about a third of the arrows it allows."""
+    dims = {lam: rng.randint(1, 2) for lam in sorted(support)}
+    arrows = {}
+    for lam in dims:
+        for root in geom.root_system.positive_roots:
+            tgt = tuple(a - b for a, b in zip(lam, root.fund))
+            if tgt in dims and rng.random() < 0.35:
+                arrows[(lam, root)] = Matrix(
+                    [[rng.randint(-2, 2) for _ in range(dims[lam])] for _ in range(dims[tgt])]
+                )
+    return QuiverRep(geom, dims, arrows)
+
+
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_fixture_check_order_matches_dense_enumeration(path, monkeypatch):
     rep = load_rep(path)
     assert rep.geometry.is_borel
-    seen, violated = checked_order(rep, monkeypatch)
-    assert seen == dense_order(rep.geometry, rep.support)
-    assert violated == dense_check(rep)
+    _, violated = check_listing(rep, monkeypatch)
     assert check_relations(rep) == violated
 
 
@@ -109,36 +156,63 @@ def test_fixture_check_order_matches_dense_enumeration(path, monkeypatch):
 def test_tangent_and_cotangent_check_order(type_name, monkeypatch):
     g = build_geometry(type_name)
     for rep in (tangent(g), cotangent(g)):
-        seen, violated = checked_order(rep, monkeypatch)
+        _, violated = check_listing(rep, monkeypatch)
         assert violated == [] == check_relations(rep)
-        assert seen == dense_order(g, rep.support)
-        assert seen == sparse_order(g, rep.support)
+        assert sparse_order(g, rep.support) == dense_order(g, rep.support)
 
 
 @pytest.mark.parametrize("type_name", ("A2", "A3", "D4"))
-def test_random_supports_match_dense_enumeration(type_name):
+def test_random_supports_match_dense_enumeration(type_name, monkeypatch):
     g = build_geometry(type_name)
     keys = len(relation_table(g.root_system))
     rng = random.Random(20061)
-    branches = set()
+    arrow_rng = random.Random(f"arrows-{type_name}")
+    listed = 0
     for _ in range(25):
         size = rng.randint(1, 2 * keys)
         support = {
             tuple(rng.randint(-3, 3) for _ in range(g.root_system.rank))
             for _ in range(size)
         }
-        branches.add(len(support) > keys)
         assert sparse_order(g, support) == dense_order(g, support)
-    assert branches == {False, True}  # both lookup directions were exercised
+        _, violated = check_listing(with_random_arrows(g, support, arrow_rng), monkeypatch)
+        listed += len(violated)
+    assert listed > 0
 
 
-def test_large_a2_support_iterates_table_keys():
+def test_large_a2_support_with_random_arrows_matches_dense_check(monkeypatch):
     g = build_geometry("A2")
     support = {(a, b) for a in range(-5, 6) for b in range(-5, 6)}
-    assert len(support) > len(relation_table(g.root_system))
-    order = sparse_order(g, support)
-    assert len(order) > 100
-    assert order == dense_order(g, support)
+    assert len(dense_order(g, support)) > 100
+    rep = with_random_arrows(g, support, random.Random(11))
+    seen, violated = check_listing(rep, monkeypatch)
+    assert len(violated) > 20 and len(seen) > len(violated)
+
+
+def test_listing_finds_a_lone_direct_arrow():
+    # no simple arrow and no 2-path: only the direct arrow of the instance
+    # at lam for {alpha1, alpha2} exists, so the listing must find it there
+    g = build_geometry("A2")
+    rs = g.root_system
+    a1, a2 = rs.simple_root(1), rs.simple_root(2)
+    delta = rs.root((1, 1))
+    lam = (2, 1)
+    end = tuple(x - y for x, y in zip(lam, delta.fund))
+    rep = QuiverRep(g, {lam: 1, end: 1}, {(lam, delta): Matrix([[3]])})
+    beta, gamma = sorted((a1, a2), key=rs.positive_roots.index)
+    want = [RelationInstance(lam, beta, gamma, rs.chevalley(-beta, -gamma))]
+    assert check_relations(rep) == want == dense_check(rep)
+
+
+def test_a30_tangent_and_h0_scale_with_the_arrows():
+    # 465 vertices and 8,990 arrows: the completion, the decision and the
+    # pairings visit only the paths that exist
+    g = build_geometry("A30")
+    start = time.perf_counter()
+    total = h0(tangent(g)).total_dimension
+    elapsed = time.perf_counter() - start
+    assert total == 960
+    assert elapsed < 3.0, f"A30 tangent plus h0 took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("type_name", ALL_TYPES)

@@ -38,9 +38,9 @@ from homquiver import (
 from homquiver import bundle as bundle_mod
 from homquiver.bundle import relations_hold, require_valid
 from homquiver.linalg import Matrix
-from homquiver.quiver import first_decompositions, relation_table
+from homquiver.quiver import first_decompositions, serre_relations
 
-from .oracles import conjugate, path_matrix, random_invertible
+from .oracles import conjugate, path_matrix, random_invertible, relation_table
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 VIOLATED_FIXTURES = {"B_s0", "B_s1", "B_s3", "L_ell1"}
@@ -226,6 +226,28 @@ def test_false_rejection_is_an_error_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("relations_hold rejects")
+
+
+@pytest.mark.parametrize("type_name", ("A2", "A3", "D4"))
+def test_each_serre_path_alone_is_rejected(type_name):
+    # Unit arrows along one path of one Serre relation, completed by the
+    # brackets: no other path of that relation exists at the source, so the
+    # Serre check must evaluate it there from the path's first root alone.
+    g = build_geometry(type_name)
+    lam = (0,) * g.root_system.rank
+    checked = 0
+    for _, terms in serre_relations(g.root_system):
+        for _, path in terms:
+            support, arrows, cur = {lam: 1}, {}, lam
+            for root in path:
+                arrows[(cur, root)] = Matrix([[1]])
+                cur = _target(cur, root)
+                support[cur] = 1
+            rep = bundle_mod._complete(QuiverRep(g, support, arrows))
+            assert not relations_hold(rep)
+            assert not agree(rep)
+            checked += 1
+    assert checked > len(serre_relations(g.root_system))
 
 
 @pytest.mark.parametrize("type_name", TABLE_TYPES)
