@@ -5,6 +5,13 @@ root, one wherever both ends are vertices (see ``levi.arrow_multiplicity``
 for why the Levi tensor multiplicity is always 0 or 1).  The quiver is
 infinite; computations work on finite forward windows.
 
+Whether lam - beta is a vertex depends only on min(lam_i, cap_i) over the
+Levi indices i, with cap_i the largest coordinate i of a nilradical root
+(at least 0): once lam_i >= cap_i, lam_i >= beta_i for every beta, and
+below the cap lam_i is read exactly.  So each geometry keeps one lazily
+filled table of open roots; in type ADE cap_i <= 1, so it has at most
+2^|levi| rows, however large the weights.
+
 Relations are only defined for the Borel case.  There the arrows in
 direction beta act as the Chevalley basis vector e_-beta of n^-, written
 f_beta, and the relations are the commutation relations
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from .geometry import ParabolicGeometry
 from .rootsystem import Root, RootSystem, Weight
@@ -71,25 +79,41 @@ def is_vertex(geom: ParabolicGeometry, lam: Weight) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _arrow_kinds(geom: ParabolicGeometry) -> tuple:
-    """(beta, kind) for each nilradical root, in nilradical order."""
-    generating = set(geom.generating_roots)
-    return tuple(
-        (beta, GENERATING if beta in generating else DERIVED)
-        for beta in geom.nilradical_roots
-    )
+def _arrow_table(geom: ParabolicGeometry) -> tuple:
+    """(walls, rows): (i, cap_i, stride_i) per Levi index i (0-based), the
+    strides numbering the wall patterns min(lam_i, cap_i), and a map from
+    that number to the open triples, filled by ``_open_roots``."""
+    walls, stride = [], 1
+    for i in geom.levi:
+        cap = max([0] + [beta.fund[i - 1] for beta in geom.nilradical_roots])
+        walls.append((i - 1, cap, stride))
+        stride *= cap + 1
+    return tuple(walls), {}
+
+
+def _open_roots(geom: ParabolicGeometry, table: tuple, lam: Weight) -> tuple:
+    """The (beta, kind, fund) triples with lam - beta p-dominant, for a vertex
+    lam, in nilradical order."""
+    walls, rows = table
+    key = sum(min(lam[i], cap) * stride for i, cap, stride in walls)
+    out = rows.get(key)
+    if out is None:
+        out = rows[key] = tuple(
+            (beta, GENERATING if beta in geom.generating_roots else DERIVED, beta.fund)
+            for beta in geom.nilradical_roots
+            if all(lam[i] >= beta.fund[i] for i, _, _ in walls)
+        )
+    return out
 
 
 def arrows_from(geom: ParabolicGeometry, lam: Weight) -> tuple:
     """All quiver arrows leaving lam, in deterministic root order."""
     if not is_vertex(geom, lam):
         raise ValueError(f"{lam} is not a vertex for levi {geom.levi}")
-    out = []
-    for beta, kind in _arrow_kinds(geom):
-        mu = tuple(a - b for a, b in zip(lam, beta.fund))
-        if geom.is_p_dominant(mu):
-            out.append(Arrow(lam, beta, mu, kind))
-    return tuple(out)
+    return tuple(
+        Arrow(lam, beta, tuple(map(sub, lam, fund)), kind)
+        for beta, kind, fund in _open_roots(geom, _arrow_table(geom), lam)
+    )
 
 
 def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> QuiverWindow:
@@ -99,23 +123,26 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    out_arrows = {}  # arrows_from of each vertex, computed once
-    vertices = {center}
+    table = _arrow_table(geom)
+    vertices = {center: center}  # each vertex keyed by itself, so arrows share it
     frontier = [center]
     for _ in range(radius):
         nxt = []
         for v in frontier:
-            out_arrows[v] = arrows_from(geom, v)
-            for arr in out_arrows[v]:
-                if arr.target not in vertices:
-                    vertices.add(arr.target)
-                    nxt.append(arr.target)
+            for _, _, fund in _open_roots(geom, table, v):
+                t = tuple(map(sub, v, fund))
+                if t not in vertices:
+                    vertices[t] = t
+                    nxt.append(t)
         frontier = nxt
+    order = tuple(sorted(vertices))
     arrows = []
-    for v in sorted(vertices):
-        out = out_arrows[v] if v in out_arrows else arrows_from(geom, v)
-        arrows.extend(arr for arr in out if arr.target in vertices)
-    return QuiverWindow(tuple(sorted(vertices)), tuple(arrows))
+    for v in order:
+        for beta, kind, fund in _open_roots(geom, table, v):
+            t = vertices.get(tuple(map(sub, v, fund)))
+            if t is not None:
+                arrows.append(Arrow(v, beta, t, kind))
+    return QuiverWindow(order, tuple(arrows))
 
 
 def borel_relation_instances(geom: ParabolicGeometry, support) -> tuple:

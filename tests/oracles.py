@@ -486,22 +486,38 @@ def arrow_multiplicity_oracle(geom, lam, mu):
     lam (x) (dual component) by Brauer-Klimyk."""
     if not geom.is_p_dominant(mu):
         return 0
-    rs = geom.root_system
-    beta = root_from_fund_oracle(rs, tuple(a - b for a, b in zip(lam, mu)))
+    beta = _root_of_difference(geom.root_system, tuple(a - b for a, b in zip(lam, mu)))
     if beta is None or beta not in geom.nilradical_roots:
         return 0
     from homquiver.levi import nilradical_components
 
-    component = next(m for _, m in nilradical_components(geom) if beta in m)
+    index = next(k for k, (_, m) in enumerate(nilradical_components(geom)) if beta in m)
+    return _dual_component_tensor(geom, lam, index).get(mu, 0)
+
+
+@lru_cache(maxsize=None)
+def _root_of_difference(rs, diff):
+    """``root_from_fund_oracle``, memoized: the differences lam - mu asked
+    about are a few multiples of roots."""
+    return root_from_fund_oracle(rs, diff)
+
+
+@lru_cache(maxsize=1024)
+def _dual_component_tensor(geom, lam, index):
+    """lam (x) (dual of nilradical component ``index``) by Brauer-Klimyk, as
+    {weight: multiplicity}; memoized, since every root of the component asks
+    for it.  Callers must not mutate."""
+    from homquiver.levi import nilradical_components
+
     rho_l = geom.rho_levi
     out = {}
-    for r in component:
+    for r in nilradical_components(geom)[index][1]:
         kappa = tuple(a - c + p for a, c, p in zip(lam, r.fund, rho_l))
         res = _levi_dot_dominant(geom, kappa)
         if res is not None:
             label = tuple(a - p for a, p in zip(res[1], rho_l))
             out[label] = out.get(label, 0) + res[0]
-    return out.get(mu, 0)
+    return out
 
 
 def quiver_window_oracle(geom, center, radius):

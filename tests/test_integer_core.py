@@ -2,8 +2,9 @@
 
 Root lookup by fundamental coordinates, the integer Gram form, the
 integer Freudenthal recursion, the dual-component table behind arrow
-multiplicities and quiver windows must all give exactly what the plain
-rational-arithmetic versions in ``tests/oracles.py`` give.
+multiplicities, the arrows leaving a vertex and quiver windows must all
+give exactly what the plain rational-arithmetic versions in
+``tests/oracles.py`` give.
 """
 
 import itertools
@@ -11,8 +12,9 @@ import random
 
 import pytest
 
-from homquiver import build_geometry, build_root_system, quiver_window
+from homquiver import arrows_from, build_geometry, build_root_system, quiver_window
 from homquiver.levi import arrow_multiplicity, freudenthal, levi_weyl_dim
+from homquiver.quiver import DERIVED, GENERATING
 
 from .oracles import (
     arrow_multiplicity_oracle,
@@ -170,6 +172,7 @@ def test_arrow_multiplicity_matches_reference():
         rs = build_root_system(name)
         roots = rs.positive_roots + tuple(-r for r in rs.positive_roots)
         geom = build_geometry(name, levi)
+        generating = set(geom.generating_roots)
         # Levi coordinates 0 to 3 put lam on the p-dominance walls, inside,
         # or both, coordinate by coordinate.
         for _ in range(6):
@@ -177,16 +180,22 @@ def test_arrow_multiplicity_matches_reference():
                 rng.randint(0, 3) if i + 1 in levi else rng.randint(-3, 3)
                 for i in range(rs.rank)
             )
+            expected = []  # the oracle's arrows from lam, in root order
             for r in roots:
                 for diff in (r.fund, tuple(2 * c for c in r.fund)):
                     mu = tuple(a - b for a, b in zip(lam, diff))
                     want = arrow_multiplicity_oracle(geom, lam, mu)
                     assert arrow_multiplicity(geom, lam, mu) == want, (levi, lam, mu)
+                    if want:
+                        expected.append((lam, r, mu, GENERATING if r in generating else DERIVED))
+            got = tuple((a.source, a.root, a.target, a.kind) for a in arrows_from(geom, lam))
+            assert got == tuple(expected), (levi, lam)
 
 
 def _window_cases():
     cases = [(name, levi) for name in ("A3", "D4") for levi in _all_levis(int(name[1:]))]
     cases += [("D5", levi) for levi in _maximal_levis(5)]
+    cases += [("E6", levi) for levi in _maximal_levis(6)]
     return cases
 
 

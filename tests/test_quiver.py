@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 
 from homquiver.geometry import build_geometry
 from homquiver.quiver import (
     DERIVED,
     GENERATING,
+    _arrow_table,
     arrows_from,
     borel_relation_instances,
     is_vertex,
@@ -66,6 +70,33 @@ def test_window_requires_vertex_center():
     g = build_geometry("A2", (2,))
     with pytest.raises(ValueError):
         quiver_window(g, (0, -1), 1)
+
+
+@pytest.mark.parametrize("weight", [(0, 0, 0), (0, 0, 0, 0, 0)])
+def test_wrong_length_weight_is_rejected(weight):
+    # Only the Levi coordinates decide the open roots, so the length is
+    # checked before anything is looked up.
+    g = build_geometry("D4", (1, 3))
+    for call in (lambda: arrows_from(g, weight), lambda: quiver_window(g, weight, 1)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            call()
+
+
+@pytest.mark.parametrize("name,levi", [("D5", (1, 2, 3)), ("E6", (1, 2, 3, 4, 5))])
+def test_arrow_table_does_not_grow_with_the_weights(name, levi):
+    g = build_geometry(name, levi)
+    rank = g.root_system.rank
+    rng = random.Random(f"table:{name}")
+    for _ in range(8):
+        center = tuple(
+            rng.randint(0, 40) if i + 1 in levi else rng.randint(-40, 40)
+            for i in range(rank)
+        )
+        assert quiver_window(g, center, 2).vertices
+    caps = [max([0] + [b.fund[i - 1] for b in g.nilradical_roots]) for i in levi]
+    assert max(caps) <= 1  # type ADE: the nilradical components are minuscule
+    _, rows = _arrow_table(g)
+    assert 0 < len(rows) <= math.prod(c + 1 for c in caps)
 
 
 def test_relation_instances_cover_window():
