@@ -44,7 +44,6 @@ from .levi import (
     freudenthal,
     klimyk_tensor,
     levi_weyl_dim,
-    nilradical_components,
 )
 from .linalg import Matrix
 from .quiver import (
@@ -102,7 +101,6 @@ __all__ = [
     "freudenthal",
     "klimyk_tensor",
     "levi_weyl_dim",
-    "nilradical_components",
     "Matrix",
     "DERIVED",
     "GENERATING",

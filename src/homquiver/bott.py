@@ -82,14 +82,22 @@ def reflect_to_dominant(rs: RootSystem, v: Weight, indices) -> tuple:
         length += 1
 
 
-def weyl_dim(rs: RootSystem, nu: Weight) -> int:
-    """Weyl dimension formula, in exact integer arithmetic."""
-    if any(c < 0 for c in nu):
+def weyl_dim(rs: RootSystem, nu: Weight, indices=None) -> int:
+    """Weyl dimension formula, in exact integer arithmetic.
+
+    ``indices`` restricts to the sub-root-system spanned by the given
+    1-based simple indices (the whole system when omitted); nu must be
+    dominant at those indices.
+    """
+    if indices is None:
+        indices = range(1, rs.rank + 1)
+    indices = frozenset(indices)
+    if any(nu[i - 1] < 0 for i in indices):
         raise ValueError(f"{nu} is not dominant")
     num = 1
     den = 1
     shifted = tuple(c + 1 for c in nu)
-    for alpha in rs.positive_roots:
+    for alpha in sub_positive_roots(rs, indices):
         num *= rs.inner(shifted, alpha)
         den *= alpha.height  # (rho, alpha)
     q, r = divmod(num, den)

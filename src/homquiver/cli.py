@@ -53,25 +53,19 @@ def _fmt_weight(w) -> str:
     return ",".join(str(c) for c in w)
 
 
-def _print_decomposition(dec: GModuleDecomposition, as_json: bool, out):
+def _decomposition(dec: GModuleDecomposition):
     for note in dec.notes:
         print(f"warning: {note}", file=sys.stderr)
-    if as_json:
-        doc = {
-            "entries": [
-                {"weight": list(e.weight), "mult": e.multiplicity, "dim": e.dimension}
-                for e in dec.entries
-            ],
-            "total": dec.total_dimension,
-        }
-        print(json.dumps(doc), file=out)
-        return
-    for e in dec.entries:
-        print(
-            f"weight={_fmt_weight(e.weight)} mult={e.multiplicity} dim={e.dimension}",
-            file=out,
-        )
-    print(f"total={dec.total_dimension}", file=out)
+    doc = {
+        "entries": [
+            {"weight": list(e.weight), "mult": e.multiplicity, "dim": e.dimension}
+            for e in dec.entries
+        ],
+        "total": dec.total_dimension,
+    }
+    lines = [f"weight={_fmt_weight(e.weight)} mult={e.multiplicity} dim={e.dimension}"
+             for e in dec.entries]
+    return doc, lines + [f"total={dec.total_dimension}"]
 
 
 def _build_parser() -> _Parser:
@@ -80,51 +74,53 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bott", help="cohomology of an irreducible bundle")
+    p.set_defaults(run=_bott)
     p.add_argument("type")
     p.add_argument("--levi", type=_levi, default=())
     p.add_argument("coords", type=int, nargs="+",
                    help="weight coordinates; put -- before negative values")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("quiver", help="finite forward window of the quiver")
+    p.set_defaults(run=_quiver)
     p.add_argument("type")
     p.add_argument("--levi", type=_levi, default=())
     p.add_argument("--center", type=_coords, required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="validate a bundle file and its relations")
+    p.set_defaults(run=_check)
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="complete generating arrows to a full representation")
+    p.set_defaults(run=_solve)
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gabriel", help="interval decomposition of an A_m-type bundle")
+    p.set_defaults(run=_gabriel)
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("make", help="write a builder bundle to a file")
+    p.set_defaults(run=_make)
     p.add_argument("what", choices=["tangent", "cotangent"])
     p.add_argument("type")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("h0", help="global sections of a bundle file")
+    p.set_defaults(run=_h0)
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("hgr", help="graded cohomology in one degree")
+    p.set_defaults(run=_hgr)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("euler", help="Euler characteristic of a bundle file")
+    p.set_defaults(run=_euler)
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -152,141 +148,88 @@ def _geometry(type_name, levi=(), coords=None, what=""):
     return build_geometry(cartan_type, levi)
 
 
-def _run(args, out) -> int:
-    if args.command == "bott":
-        geom = _geometry(args.type, args.levi, args.coords, "the weight")
-        res = bott(geom, tuple(args.coords))
-        if args.json:
-            doc = (
-                {"singular": True}
-                if res.is_singular
-                else {
-                    "singular": False,
-                    "degree": res.degree,
-                    "weight": list(res.weight),
-                    "dim": res.dimension,
-                }
-            )
-            print(json.dumps(doc), file=out)
-        elif res.is_singular:
-            print("singular", file=out)
-        else:
-            print(
-                f"degree={res.degree} weight={_fmt_weight(res.weight)} dim={res.dimension}",
-                file=out,
-            )
-        return 0
+# The handlers call library functions through this module's globals, so
+# a tracer that rebinds those names here sees every call.
 
-    if args.command == "quiver":
-        geom = _geometry(args.type, args.levi, args.center, "--center")
-        window = quiver_window(geom, args.center, args.radius)
-        if args.json:
-            doc = {
-                "vertices": [list(v) for v in window.vertices],
-                "arrows": [
-                    {
-                        "from": list(a.source),
-                        "root": list(a.root.simple),
-                        "to": list(a.target),
-                        "kind": a.kind,
-                    }
-                    for a in window.arrows
-                ],
-            }
-            print(json.dumps(doc), file=out)
-        else:
-            for v in window.vertices:
-                print(f"vertex {_fmt_weight(v)}", file=out)
-            for a in window.arrows:
-                print(
-                    f"arrow {_fmt_weight(a.source)} -> {_fmt_weight(a.target)} "
-                    f"root={_fmt_weight(a.root.simple)} kind={a.kind}",
-                    file=out,
-                )
-        return 0
 
-    if args.command == "check":
-        rep = load_rep(args.file)
-        require_valid(rep)
-        if not rep.geometry.is_borel:
-            print(
-                "warning: non-Borel parabolic, relations unchecked",
-                file=sys.stderr,
-            )
-        if args.json:
-            print(json.dumps({"ok": True}), file=out)
-        else:
-            print("ok", file=out)
-        return 0
+def _bott(args):
+    geom = _geometry(args.type, args.levi, args.coords, "the weight")
+    res = bott(geom, tuple(args.coords))
+    if res.is_singular:
+        return {"singular": True}, ["singular"]
+    doc = {"singular": False, "degree": res.degree,
+           "weight": list(res.weight), "dim": res.dimension}
+    return doc, [f"degree={res.degree} weight={_fmt_weight(res.weight)} dim={res.dimension}"]
 
-    if args.command == "solve":
-        rep = _load_checked(args.file)
-        completed = solve_derived_arrows(rep)
-        save_rep(completed, args.output)
-        if args.json:
-            print(json.dumps({"ok": True, "output": args.output}), file=out)
-        else:
-            print(f"solved: wrote {args.output}", file=out)
-        return 0
 
-    if args.command == "gabriel":
-        rep = _load_checked(args.file)
-        dec = gabriel_decompose(rep)
-        chain = dec.path.vertices
-        if args.json:
-            doc = {
-                "direction": list(dec.path.direction.simple)
-                if dec.path.direction
-                else None,
-                "path": [list(v) for v in chain],
-                "intervals": [
-                    {"from": list(chain[i]), "to": list(chain[j]), "mult": m}
-                    for (i, j), m in dec.intervals
-                ],
-            }
-            print(json.dumps(doc), file=out)
-        else:
-            direction = (
-                _fmt_weight(dec.path.direction.simple) if dec.path.direction else "-"
-            )
-            print(f"direction={direction}", file=out)
-            for (i, j), m in dec.intervals:
-                print(
-                    f"interval {_fmt_weight(chain[i])} .. {_fmt_weight(chain[j])} "
-                    f"mult={m}",
-                    file=out,
-                )
-        return 0
+def _quiver(args):
+    geom = _geometry(args.type, args.levi, args.center, "--center")
+    window = quiver_window(geom, args.center, args.radius)
+    doc = {
+        "vertices": [list(v) for v in window.vertices],
+        "arrows": [
+            {"from": list(a.source), "root": list(a.root.simple),
+             "to": list(a.target), "kind": a.kind}
+            for a in window.arrows
+        ],
+    }
+    lines = [f"vertex {_fmt_weight(v)}" for v in window.vertices]
+    lines += [
+        f"arrow {_fmt_weight(a.source)} -> {_fmt_weight(a.target)} "
+        f"root={_fmt_weight(a.root.simple)} kind={a.kind}"
+        for a in window.arrows
+    ]
+    return doc, lines
 
-    if args.command == "make":
-        geom = _geometry(args.type)
-        rep = tangent(geom) if args.what == "tangent" else cotangent(geom)
-        save_rep(rep, args.output)
-        if args.json:
-            print(json.dumps({"ok": True, "output": args.output}), file=out)
-        else:
-            print(f"wrote {args.output}", file=out)
-        return 0
 
-    if args.command == "h0":
-        _print_decomposition(h0(load_rep(args.file)), args.json, out)
-        return 0
+def _check(args):
+    rep = load_rep(args.file)
+    require_valid(rep)
+    if not rep.geometry.is_borel:
+        print("warning: non-Borel parabolic, relations unchecked", file=sys.stderr)
+    return {"ok": True}, ["ok"]
 
-    if args.command == "hgr":
-        rep = _load_checked(args.file)
-        _print_decomposition(h_graded(rep, args.degree), args.json, out)
-        return 0
 
-    if args.command == "euler":
-        rep = _load_checked(args.file)
-        value = euler(rep)
-        if args.json:
-            print(json.dumps({"euler": value}), file=out)
-        else:
-            print(f"euler={value}", file=out)
-        return 0
+def _solve(args):
+    save_rep(solve_derived_arrows(_load_checked(args.file)), args.output)
+    return {"ok": True, "output": args.output}, [f"solved: wrote {args.output}"]
 
-    raise AssertionError(f"unhandled command {args.command}")
+
+def _gabriel(args):
+    dec = gabriel_decompose(_load_checked(args.file))
+    chain = dec.path.vertices
+    direction = dec.path.direction
+    doc = {
+        "direction": list(direction.simple) if direction else None,
+        "path": [list(v) for v in chain],
+        "intervals": [
+            {"from": list(chain[i]), "to": list(chain[j]), "mult": m}
+            for (i, j), m in dec.intervals
+        ],
+    }
+    lines = [f"direction={_fmt_weight(direction.simple) if direction else '-'}"]
+    lines += [f"interval {_fmt_weight(chain[i])} .. {_fmt_weight(chain[j])} mult={m}"
+              for (i, j), m in dec.intervals]
+    return doc, lines
+
+
+def _make(args):
+    geom = _geometry(args.type)
+    save_rep(tangent(geom) if args.what == "tangent" else cotangent(geom), args.output)
+    return {"ok": True, "output": args.output}, [f"wrote {args.output}"]
+
+
+def _h0(args):
+    return _decomposition(h0(load_rep(args.file)))
+
+
+def _hgr(args):
+    return _decomposition(h_graded(_load_checked(args.file), args.degree))
+
+
+def _euler(args):
+    value = euler(_load_checked(args.file))
+    return {"euler": value}, [f"euler={value}"]
 
 
 def _print_error(exc):
@@ -296,7 +239,9 @@ def _print_error(exc):
 
 
 def main(argv=None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    """Run one subcommand.  Its handler returns ``(doc, lines)``, the
+    ``--json`` document and the text lines, and only this function
+    prints them, to ``out`` (standard output when None)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -304,7 +249,9 @@ def main(argv=None, out=None) -> int:
         _print_error(exc)
         return USAGE_ERROR
     try:
-        return _run(args, out)
+        doc, lines = args.run(args)
+        print(json.dumps(doc) if args.json else "\n".join(lines), file=out)
+        return 0
     except (_UsageError, BundleFormatError, OSError, json.JSONDecodeError) as exc:
         _print_error(exc)
         return USAGE_ERROR

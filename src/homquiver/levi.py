@@ -2,9 +2,9 @@
 
 Weight multiplicities via the Freudenthal recursion, run at the
 Levi-dominant weights only and spread over their W_L-orbits; tensor
-decompositions via the Brauer-Klimyk rule; the Levi-module decomposition
-of the nilradical; and the arrow multiplicity of the quiver, which the
-minuscule criterion decides without a tensor decomposition.
+decompositions via the Brauer-Klimyk rule; and the arrow multiplicity of
+the quiver, which the minuscule criterion decides without a tensor
+decomposition.
 
 Torus directions (fundamental coordinates outside the Levi subset) ride
 along unchanged: only Levi coordinates are ever reflected.
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from .bott import dominantize, reflect_to_dominant, sub_positive_roots
+from .bott import dominantize, reflect_to_dominant, sub_positive_roots, weyl_dim
 from .geometry import ParabolicGeometry
 from .rootsystem import Weight
 
@@ -104,19 +104,13 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def levi_weyl_dim(geom: ParabolicGeometry, lam: Weight) -> int:
-    """Weyl dimension formula over the Levi positive roots."""
+    """Weyl dimension formula over the Levi positive roots.
+
+    A Levi root has support on the Levi only, where rho and the Levi rho
+    agree, so this is ``weyl_dim`` restricted to the Levi indices.
+    """
     _require_p_dominant(geom, lam)
-    rs = geom.root_system
-    shifted = tuple(a + b for a, b in zip(lam, geom.rho_levi))
-    num = 1
-    den = 1
-    for alpha in sub_positive_roots(rs, frozenset(geom.levi)):
-        num *= rs.inner(shifted, alpha)
-        den *= rs.inner(geom.rho_levi, alpha)
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError("Levi Weyl dimension formula gave a non-integer")
-    return q
+    return weyl_dim(geom.root_system, lam, geom.levi)
 
 
 def klimyk_tensor(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> tuple:
@@ -143,54 +137,6 @@ def klimyk_tensor(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> tuple:
     if not all(m > 0 for m in out.values()):
         raise AssertionError("Klimyk produced a negative multiplicity")
     return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def nilradical_components(geom: ParabolicGeometry) -> tuple:
-    """Partition of the nilradical roots into Levi-irreducible components.
-
-    Returns a tuple of (highest weight, roots) pairs; each component's
-    highest weight is its unique root maximal under adding Levi simple roots.
-    """
-    rs = geom.root_system
-    roots = list(geom.nilradical_roots)
-    index = {r.simple: i for i, r in enumerate(roots)}
-    parent = list(range(len(roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, r in enumerate(roots):
-        for li in geom.levi:
-            up = tuple(a + b for a, b in zip(r.simple, rs.simple_root(li).simple))
-            j = index.get(up)
-            if j is not None:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(find(i), []).append(r)
-
-    components = []
-    for members in groups.values():
-        member_set = {r.simple for r in members}
-        highs = [
-            r for r in members
-            if not any(
-                tuple(a + b for a, b in zip(r.simple, rs.simple_root(li).simple))
-                in member_set
-                for li in geom.levi
-            )
-        ]
-        if len(highs) != 1:
-            raise AssertionError("nilradical component has no unique highest root")
-        members.sort(key=lambda r: (r.height, r.simple))
-        components.append((highs[0].fund, tuple(members)))
-    components.sort()
-    return tuple(components)
 
 
 def arrow_multiplicity(geom: ParabolicGeometry, lam: Weight, mu: Weight) -> int:

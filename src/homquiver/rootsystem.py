@@ -10,7 +10,6 @@ theory, and nothing downstream may depend on the particular one.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,16 +101,14 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = cartan_matrix(cartan_type)
-        # Fractions, from the one elimination kernel.
-        self.cartan_inverse = solve_in_basis(
-            Matrix(self.cartan_matrix), Matrix.identity(self.rank)
-        ).data
+        # From the one elimination kernel, in canonical form: the least
+        # common denominator over integer numerators.
+        inv = solve_in_basis(Matrix(self.cartan_matrix), Matrix.identity(self.rank))
+        self.cartan_inverse = inv.data  # Fractions
         # The invariant form on weights, scaled to integers:
         # gram[i][j] = gram_scale * (omega_i, omega_j).
-        self.gram_scale = math.lcm(*(x.denominator for row in self.cartan_inverse for x in row))
-        self.gram = tuple(
-            tuple(int(x * self.gram_scale) for x in row) for row in self.cartan_inverse
-        )
+        self.gram_scale = inv.den
+        self.gram = inv.num
         self.rho: Weight = (1,) * self.rank
         self.positive_roots = self._close_positive_roots()
         self._roots_by_simple = {}

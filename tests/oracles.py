@@ -480,6 +480,54 @@ def _levi_dot_dominant(geom, kappa):
     return sign, w
 
 
+@lru_cache(maxsize=None)
+def nilradical_components(geom):
+    """Partition of the nilradical roots into Levi-irreducible components.
+
+    Returns a tuple of (highest weight, roots) pairs; each component's
+    highest weight is its unique root maximal under adding Levi simple roots.
+    """
+    rs = geom.root_system
+    roots = list(geom.nilradical_roots)
+    index = {r.simple: i for i, r in enumerate(roots)}
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, r in enumerate(roots):
+        for li in geom.levi:
+            up = tuple(a + b for a, b in zip(r.simple, rs.simple_root(li).simple))
+            j = index.get(up)
+            if j is not None:
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault(find(i), []).append(r)
+
+    components = []
+    for members in groups.values():
+        member_set = {r.simple for r in members}
+        highs = [
+            r for r in members
+            if not any(
+                tuple(a + b for a, b in zip(r.simple, rs.simple_root(li).simple))
+                in member_set
+                for li in geom.levi
+            )
+        ]
+        if len(highs) != 1:
+            raise AssertionError("nilradical component has no unique highest root")
+        members.sort(key=lambda r: (r.height, r.simple))
+        components.append((highs[0].fund, tuple(members)))
+    components.sort()
+    return tuple(components)
+
+
 def arrow_multiplicity_oracle(geom, lam, mu):
     """Arrow multiplicity lam -> mu: find beta = lam - mu by the Fraction
     root lookup, scan the nilradical and its components, and decompose
@@ -489,8 +537,6 @@ def arrow_multiplicity_oracle(geom, lam, mu):
     beta = _root_of_difference(geom.root_system, tuple(a - b for a, b in zip(lam, mu)))
     if beta is None or beta not in geom.nilradical_roots:
         return 0
-    from homquiver.levi import nilradical_components
-
     index = next(k for k, (_, m) in enumerate(nilradical_components(geom)) if beta in m)
     return _dual_component_tensor(geom, lam, index).get(mu, 0)
 
@@ -507,8 +553,6 @@ def _dual_component_tensor(geom, lam, index):
     """lam (x) (dual of nilradical component ``index``) by Brauer-Klimyk, as
     {weight: multiplicity}; memoized, since every root of the component asks
     for it.  Callers must not mutate."""
-    from homquiver.levi import nilradical_components
-
     rho_l = geom.rho_levi
     out = {}
     for r in nilradical_components(geom)[index][1]:

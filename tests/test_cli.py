@@ -3,6 +3,8 @@ import json
 import pathlib
 import time
 
+import pytest
+
 from homquiver.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -185,3 +187,67 @@ def test_errors_stay_on_one_line(capsys):
     for arg in ("a\nb", "\x85", "x y"):
         assert main(["check", "f.json", arg]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+CHAIN = {
+    "algebra": "A1",
+    "levi": [],
+    "vertices": [{"weight": [2], "dim": 1}, {"weight": [0], "dim": 1}],
+    "arrows": [{"from": [2], "root": [1], "matrix": [["1"]]}],
+}
+
+# command -> (arguments, text lines, --json document); file outputs are
+# written to the working directory.
+RENDERINGS = {
+    "bott": (["A2", "--", "-3", "0"], ["degree=2 weight=0,0 dim=1"],
+             {"singular": False, "degree": 2, "weight": [0, 0], "dim": 1}),
+    "quiver": (["A2", "--levi", "2", "--center=-1,0", "--radius", "1"],
+               ["vertex -3,1", "vertex -1,0", "arrow -1,0 -> -3,1 root=1,0 kind=generating"],
+               {"vertices": [[-3, 1], [-1, 0]],
+                "arrows": [{"from": [-1, 0], "root": [1, 0], "to": [-3, 1], "kind": "generating"}]}),
+    "check": ([str(FIXTURES / "F.json")], ["ok"], {"ok": True}),
+    "solve": ([str(FIXTURES / "B_s2.json"), "-o", "out.json"], ["solved: wrote out.json"],
+              {"ok": True, "output": "out.json"}),
+    "gabriel": (["chain.json"], ["direction=1", "interval 2 .. 0 mult=1"],
+                {"direction": [1], "path": [[2], [0]],
+                 "intervals": [{"from": [2], "to": [0], "mult": 1}]}),
+    "make": (["tangent", "A2", "-o", "out.json"], ["wrote out.json"],
+             {"ok": True, "output": "out.json"}),
+    "h0": ([str(FIXTURES / "tangent_A2.json")], ["weight=1,1 mult=1 dim=8", "total=8"],
+           {"entries": [{"weight": [1, 1], "mult": 1, "dim": 8}], "total": 8}),
+    "hgr": ([str(FIXTURES / "F.json"), "--degree", "2"], ["weight=0,0 mult=1 dim=1", "total=1"],
+            {"entries": [{"weight": [0, 0], "mult": 1, "dim": 1}], "total": 1}),
+    "euler": ([str(FIXTURES / "F.json")], ["euler=1"], {"euler": 1}),
+}
+
+
+@pytest.mark.parametrize("command", RENDERINGS)
+def test_every_command_renders_text_and_json(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(json.dumps(CHAIN))
+    args, lines, doc = RENDERINGS[command]
+    assert run([command] + args) == (0, "".join(line + "\n" for line in lines))
+    code, out = run([command, "--json"] + args)
+    assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+    parsed = json.loads(out)
+    assert list(parsed) == list(doc)  # stable key order
+    assert parsed == doc
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("bott", "[-h] [--levi LEVI] [--json] type coords [coords ...]"),
+    ("quiver", "[-h] [--levi LEVI] --center CENTER --radius RADIUS [--json] type"),
+    ("check", "[-h] [--json] file"),
+    ("solve", "[-h] -o OUTPUT [--json] file"),
+    ("gabriel", "[-h] [--json] file"),
+    ("make", "[-h] -o OUTPUT [--json] {tangent,cotangent} type"),
+    ("h0", "[-h] [--json] file"),
+    ("hgr", "[-h] --degree DEGREE [--json] file"),
+    ("euler", "[-h] [--json] file"),
+])
+def test_help_usage_line(command, usage, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, however wide the terminal
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: homquiver {command} {usage}"

@@ -9,9 +9,10 @@ from homquiver.levi import (
     freudenthal,
     klimyk_tensor,
     levi_weyl_dim,
-    nilradical_components,
 )
 from homquiver.rootsystem import build_root_system
+
+from .oracles import nilradical_components
 
 
 def test_freudenthal_full_adjoint():
