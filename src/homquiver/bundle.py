@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .geometry import ParabolicGeometry, build_geometry
@@ -214,11 +213,13 @@ def _complete(rep: QuiverRep) -> QuiverRep:
             for lam in sources.get(first, ())
             if (_sub(lam, first.fund), second) in work.arrows
         }
-        bracket = ((1, (gamma, beta)), (-1, (beta, gamma)))
+        # N = chevalley(-beta, -gamma) is +-1 since beta + gamma is a root,
+        # so 1/N = N and the bracket carries N as its coefficients.
+        bracket = ((n, (gamma, beta)), (-n, (beta, gamma)))
         for lam in sorted(starts):
             tgt = _sub(lam, delta.fund)
             if lam in rep.support and tgt in rep.support:
-                mat = _combination(work, lam, bracket, tgt).scale(Fraction(1, n))
+                mat = _combination(work, lam, bracket, tgt)
                 if not mat.is_zero():
                     work.arrows[(lam, delta)] = mat
                     sources.setdefault(delta, []).append(lam)
@@ -560,42 +561,26 @@ class GabrielDecomposition:
     intervals: tuple  # ((start, end), multiplicity), 0-based inclusive positions
 
 
-def _chain_step(diff: Weight, fund: Weight):
-    """The q >= 0 with diff == q * fund, or None when there is none."""
-    q = None
-    for d, b in zip(diff, fund):
-        if b == 0:
-            if d != 0:
-                return None
-            continue
-        k, rem = divmod(d, b)
-        if rem or k < 0 or (q is not None and k != q):
-            return None
-        q = k
-    return q
-
-
 def is_am_type(rep: QuiverRep):
-    """The chain structure of the support, or None if it is not a chain."""
+    """The chain structure of the support, or None if it is not a chain.
+
+    For a nilradical root beta, p(v) = (v, beta) drops by (beta, beta) = 2
+    per step down a beta-chain, so a vertex on the chain from the top sits
+    (p(top) - p(v)) / 2 steps below it.
+    """
     verts = sorted(rep.support)
     if not verts:
         return None
     if len(verts) == 1:
         return AmPath(None, (verts[0],))
     for beta in rep.geometry.nilradical_roots:
-        top = max(verts, key=lambda v: sum(x * y for x, y in zip(v, beta.simple)))
-        steps = {}
-        for v in verts:
-            q = _chain_step(_sub(top, v), beta.fund)
-            if q is None:
-                break
-            steps[q] = v
-        else:
-            m = max(steps)
-            chain = tuple(
-                tuple(a - p * b for a, b in zip(top, beta.fund))
-                for p in range(m + 1)
-            )
+        p = {v: sum(map(operator.mul, v, beta.simple)) for v in verts}
+        top = max(verts, key=p.get)
+        chain = tuple(
+            tuple(a - q * b for a, b in zip(top, beta.fund))
+            for q in range((p[top] - min(p.values())) // 2 + 1)
+        )
+        if all(v == chain[(p[top] - p[v]) // 2] for v in verts):
             return AmPath(beta, chain)
     return None
 
@@ -619,25 +604,22 @@ def _gabriel_along(rep: QuiverRep, path: AmPath) -> GabrielDecomposition:
     m = len(chain)
     dims = [rep.dim(v) for v in chain]
 
-    comp = {}
+    # r[i][j] is the rank of the map from chain position i to j, from one
+    # running product per i (r[i][i] ranks the identity, so the guards below
+    # check the elimination); row and column m stay 0 for positions -1, m.
+    r = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(m):
-        mat = Matrix.identity(dims[i])
-        comp[(i, i)] = mat
+        r[i][i] = Matrix.identity(dims[i]).rank()
+        mat = None
         for j in range(i + 1, m):
-            mat = rep.arrow(chain[j - 1], path.direction) @ mat
-            comp[(i, j)] = mat
-
-    ranks = {key: mat.rank() for key, mat in comp.items()}
-
-    def r(i, j):
-        if i < 0 or j >= m or i > j:
-            return 0
-        return ranks[(i, j)]
+            step = rep.arrow(chain[j - 1], path.direction)
+            mat = step if mat is None else step @ mat
+            r[i][j] = mat.rank()
 
     intervals = []
     for i in range(m):
         for j in range(i, m):
-            mult = r(i, j) - r(i - 1, j) - r(i, j + 1) + r(i - 1, j + 1)
+            mult = r[i][j] - r[i - 1][j] - r[i][j + 1] + r[i - 1][j + 1]
             if mult < 0:
                 raise AssertionError("negative Gabriel multiplicity")
             if mult:

@@ -11,7 +11,9 @@ against the Gabriel interval decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import groupby, repeat
+from operator import attrgetter
 
 from .bott import bott, weyl_dim
 from .bundle import QuiverRep, _gabriel_along, is_am_type, require_valid
@@ -50,12 +52,6 @@ class GModuleDecomposition:
     @property
     def total_dimension(self) -> int:
         return sum(e.multiplicity * e.dimension for e in self.entries)
-
-    def multiplicity(self, weight: Weight) -> int:
-        for e in self.entries:
-            if e.weight == tuple(weight):
-                return e.multiplicity
-        return 0
 
 
 def _decomposition(entries: dict, notes=()) -> GModuleDecomposition:
@@ -121,22 +117,10 @@ def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix:
 
 def _section_multiplicities(rep: QuiverRep, pairings: tuple) -> dict:
     """Kernel dimension of the stacked pairing maps at each dominant vertex,
-    given ``find_pairings(rep)``."""
-    by_source = {}
-    for p in pairings:
-        by_source.setdefault(p.source, []).append(p)
-    out = {}
-    for lam in sorted(rep.support):
-        if any(c < 0 for c in lam):
-            continue
-        mats = [compose_path(rep, p) for p in by_source.get(lam, ())]
-        if not mats:
-            out[lam] = rep.support[lam]
-            continue
-        stacked = mats[0]
-        for m in mats[1:]:
-            stacked = stacked.vstack(m)
-        out[lam] = stacked.nullity()
+    given ``find_pairings(rep)``, which lists them by source."""
+    out = {lam: d for lam, d in sorted(rep.support.items()) if all(c >= 0 for c in lam)}
+    for lam, group in groupby(pairings, key=attrgetter("source")):
+        out[lam] = reduce(Matrix.vstack, [compose_path(rep, p) for p in group]).nullity()
     return out
 
 
@@ -181,17 +165,14 @@ def h0_am(rep: QuiverRep) -> GModuleDecomposition:
 
     gab = _gabriel_along(rep, path)
     position = {v: i for i, v in enumerate(path.vertices)}
-    partner = {p.source: p for p in pairings}
+    # At most one pairing leaves a chain vertex: lam - k * alpha_j lies on
+    # a beta-chain only when alpha_j = beta.
+    partner = {p.source: position[p.target] for p in pairings}
     for lam, m in mults.items():
-        p = partner.get(lam)
-        pos = position[lam]
-        score = 0
-        for (i, j), mult in gab.intervals:
-            if not i <= pos <= j:
-                continue
-            if p is not None and p.target in position and i <= position[p.target] <= j:
-                continue
-            score += mult
+        pos, other = position[lam], partner.get(lam, -1)
+        score = sum(
+            mult for (i, j), mult in gab.intervals if i <= pos <= j and not i <= other <= j
+        )
         if score != m:
             raise AssertionError(
                 f"Gabriel scoring ({score}) disagrees with kernel computation "

@@ -203,8 +203,9 @@ class Matrix:
             top = m[r]
             p = top[col]
             for i in range(self.rows):
-                if i != r:
-                    c = m[i][col]
+                c = m[i][col]
+                # With c == 0 and p == prev, (p * a - c * b) // prev is a.
+                if i != r and (c or p != prev):
                     m[i] = [(p * a - c * b) // prev for a, b in zip(m[i], top)]
             prev = p
             pivots.append(col)

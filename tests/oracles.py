@@ -104,6 +104,50 @@ def _hom_from_chain(rep, chain, alpha):
     return system.nullity()
 
 
+def _chain_step(diff, fund):
+    """The q >= 0 with diff == q * fund, or None when there is none."""
+    q = None
+    for d, b in zip(diff, fund):
+        if b == 0:
+            if d != 0:
+                return None
+            continue
+        k, rem = divmod(d, b)
+        if rem or k < 0 or (q is not None and k != q):
+            return None
+        q = k
+    return q
+
+
+def am_chain_oracle(rep):
+    """``(direction.simple, vertices)`` of the chain carrying the support,
+    ``(None, (v,))`` for a single vertex v, or None when there is none.
+
+    Each vertex's step below the top is solved coordinate by coordinate
+    from top - v == q * beta.fund, for each nilradical root beta in order.
+    """
+    verts = sorted(rep.support)
+    if not verts:
+        return None
+    if len(verts) == 1:
+        return None, (verts[0],)
+    for beta in rep.geometry.nilradical_roots:
+        top = max(verts, key=lambda v: sum(x * y for x, y in zip(v, beta.simple)))
+        steps = {}
+        for v in verts:
+            q = _chain_step(tuple(a - b for a, b in zip(top, v)), beta.fund)
+            if q is None:
+                break
+            steps[q] = v
+        else:
+            chain = tuple(
+                tuple(a - p * b for a, b in zip(top, beta.fund))
+                for p in range(max(steps) + 1)
+            )
+            return beta.simple, chain
+    return None
+
+
 def random_invertible(rng, n):
     while True:
         m = Matrix(

@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from homquiver import bundle as bundle_mod
 from homquiver.bundle import _arrow_steps, _closure, _seed_spaces
 
 from .oracles import (
+    am_chain_oracle,
     colon_kernel_oracle,
     conjugate,
     path_matrix,
@@ -387,6 +389,52 @@ def test_is_am_type_allows_gaps():
     assert path.vertices == ((4,), (2,), (0,))
 
 
+AM_GEOMETRIES = (
+    ("A1", ()), ("A2", ()), ("A3", (2,)), ("D4", (1, 3)), ("A4", (1,)), ("E6", (1, 2, 3, 4, 5)),
+)
+
+
+def _random_supports(geom, rng):
+    """Chains with gaps, chains plus one stray vertex, and small random
+    supports, each with coordinates drawn near 0."""
+    n = geom.root_system.rank
+
+    def weight():
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+
+    for kind in ("chain", "stray", "random"):
+        for _ in range(60):
+            if kind == "random":
+                yield {weight(): 1 for _ in range(rng.randint(1, 4))}
+                continue
+            beta = rng.choice(geom.nilradical_roots)
+            top = weight()
+            steps = rng.sample(range(6), rng.randint(1, 4))
+            support = {tuple(a - q * b for a, b in zip(top, beta.fund)): 1 for q in steps}
+            if kind == "stray":
+                support[weight()] = 1
+            yield support
+
+
+def test_is_am_type_matches_oracle_on_random_supports():
+    rng = random.Random(15)
+    chains = drawn = 0
+    for name, levi in AM_GEOMETRIES:
+        g = build_geometry(name, levi)
+        for support in _random_supports(g, rng):
+            rep = QuiverRep(g, support)
+            path = is_am_type(rep)
+            got = None
+            if path is not None:
+                direction = path.direction.simple if path.direction else None
+                got = (direction, path.vertices)
+            assert got == am_chain_oracle(rep), (name, levi, sorted(support))
+            drawn += 1
+            chains += got is not None
+    # Both answers occur among the draws.
+    assert 0 < chains < drawn
+
+
 def test_gabriel_iso_arrow_single_interval():
     g = build_geometry("A1", ())
     alpha = g.root_system.simple_root(1)
@@ -427,6 +475,18 @@ def test_gabriel_check_survives_python_O():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "Gabriel multiplicities do not match dimensions"
+
+
+def test_gabriel_cost_follows_the_file():
+    # No arrow: the ranks are of identities and zero maps, which the
+    # elimination must not rescale row by row (that cost about d^3).
+    g = build_geometry("A1", ())
+    rep = QuiverRep(g, {(1,): 300, (-1,): 300})
+    start = time.perf_counter()
+    dec = gabriel_decompose(rep)
+    elapsed = time.perf_counter() - start
+    assert dec.intervals == (((0, 0), 300), ((1, 1), 300))
+    assert elapsed < 2.0, elapsed
 
 
 def test_gabriel_counts_match_ranks_randomly():
