@@ -88,18 +88,6 @@ class QuiverRep:
     def dim(self, lam: Weight) -> int:
         return self.support.get(tuple(lam), 0)
 
-    @property
-    def rank(self) -> int:
-        return sum(self.support.values())
-
-    def arrow(self, src: Weight, root: Root) -> Matrix:
-        """Arrow matrix from src in direction root; zero map when absent."""
-        tgt = _sub(src, root.fund)
-        mat = self.arrows.get((tuple(src), root))
-        if mat is None:
-            return Matrix.zeros(self.dim(tgt), self.dim(src))
-        return mat
-
     def walk(self, src: Weight, roots, end: Weight) -> Matrix:
         """Composition of arrows from src along the roots, ending at end.
 
@@ -199,7 +187,7 @@ def _complete(rep: QuiverRep) -> QuiverRep:
 
     The bracket at lam is nonzero only where a 2-path beta,gamma or
     gamma,beta leaves lam, so only those sources are visited, in sorted
-    order, and only when lam and its end lie in the support.
+    order.
     """
     rs = rep.geometry.root_system
     simples = set(rs.positive_roots[: rs.rank])
@@ -216,13 +204,12 @@ def _complete(rep: QuiverRep) -> QuiverRep:
         # N = chevalley(-beta, -gamma) is +-1 since beta + gamma is a root,
         # so 1/N = N and the bracket carries N as its coefficients.
         bracket = ((n, (gamma, beta)), (-n, (beta, gamma)))
+        # A 2-path joins arrow ends, so (by height) both lie in a valid rep's support.
         for lam in sorted(starts):
-            tgt = _sub(lam, delta.fund)
-            if lam in rep.support and tgt in rep.support:
-                mat = _combination(work, lam, bracket, tgt)
-                if not mat.is_zero():
-                    work.arrows[(lam, delta)] = mat
-                    sources.setdefault(delta, []).append(lam)
+            mat = _combination(work, lam, bracket, _sub(lam, delta.fund))
+            if not mat.is_zero():
+                work.arrows[(lam, delta)] = mat
+                sources.setdefault(delta, []).append(lam)
     return work
 
 
@@ -285,10 +272,7 @@ def _violated_instances(rep: QuiverRep) -> list:
                     terms += ((-n, (delta,)),)
                 relation[i, j] = (tuple(map(operator.add, beta.fund, gamma.fund)), n, terms)
             shift, n, terms = relation[i, j]
-            end = _sub(lam, shift)
-            if rep.dim(lam) == 0 or rep.dim(end) == 0:
-                continue  # the relation lands in a zero space
-            if not _combination(rep, lam, terms, end).is_zero():
+            if not _combination(rep, lam, terms, _sub(lam, shift)).is_zero():
                 violated.append(RelationInstance(lam, beta, gamma, n))
     return violated
 
@@ -312,15 +296,20 @@ def check_relations(rep: QuiverRep) -> list:
     return violated
 
 
+def require_structure(rep: QuiverRep) -> None:
+    """Raise ValueError listing the structural errors (``validate``), if any."""
+    errors = validate(rep)
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
 def require_valid(rep: QuiverRep) -> None:
     """The validation gate: structural checks, then relations on the Borel.
 
     Raises ValueError listing the structural errors, or RelationError
     carrying the violated relation instances (``check_relations``).
     """
-    errors = validate(rep)
-    if errors:
-        raise ValueError("; ".join(errors))
+    require_structure(rep)
     if rep.geometry.is_borel:
         violated = check_relations(rep)
         if violated:
@@ -335,17 +324,15 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     derived relations by construction; afterwards the Serre relations
     are checked, and a RelationError carrying the violated instances is
     raised when no consistent completion exists.  Non-generating arrows
-    present in the input are ignored and recomputed.
+    present in the input are ignored and recomputed.  A structurally
+    invalid input raises ValueError, as in ``require_valid``.
     """
     if not rep.geometry.is_borel:
         raise ValueError("solve_derived_arrows needs the Borel parabolic")
+    require_structure(rep)
     work = _complete(rep)
-    # The Serre check needs well-formed arrows; otherwise the full
-    # enumeration reports, as it does for a rejected completion.
-    if validate(work) or not _serre_vanish(work):
-        violated = _violated_instances(work)
-        if violated:
-            raise RelationError(violated)
+    if not _serre_vanish(work):
+        raise RelationError(check_relations(work))
     return work
 
 
@@ -605,16 +592,22 @@ def _gabriel_along(rep: QuiverRep, path: AmPath) -> GabrielDecomposition:
     dims = [rep.dim(v) for v in chain]
 
     # r[i][j] is the rank of the map from chain position i to j, from one
-    # running product per i (r[i][i] ranks the identity, so the guards below
-    # check the elimination); row and column m stay 0 for positions -1, m.
+    # running product per i that stops at the first absent arrow (every
+    # longer map through it is zero); rows are filled from the bottom, so
+    # each rank is checked against the ranks of its two factors.  Row and
+    # column m stay 0 for positions -1, m.
     r = [[0] * (m + 1) for _ in range(m + 1)]
-    for i in range(m):
-        r[i][i] = Matrix.identity(dims[i]).rank()
+    for i in reversed(range(m)):
+        r[i][i] = dims[i]
         mat = None
         for j in range(i + 1, m):
-            step = rep.arrow(chain[j - 1], path.direction)
+            step = rep.arrows.get((chain[j - 1], path.direction))
+            if step is None:
+                break
             mat = step if mat is None else step @ mat
-            r[i][j] = mat.rank()
+            r[i][j] = k = mat.rank()
+            if mat.is_zero() == (k > 0) or k > min(r[i][j - 1], r[j - 1][j]):
+                raise AssertionError("Gabriel rank disagrees with its factors")
 
     intervals = []
     for i in range(m):
@@ -624,9 +617,4 @@ def _gabriel_along(rep: QuiverRep, path: AmPath) -> GabrielDecomposition:
                 raise AssertionError("negative Gabriel multiplicity")
             if mult:
                 intervals.append(((i, j), mult))
-    # The interval indicators must add up to the dimension vector.
-    for p in range(m):
-        total = sum(mult for (i, j), mult in intervals if i <= p <= j)
-        if total != dims[p]:
-            raise AssertionError("Gabriel multiplicities do not match dimensions")
     return GabrielDecomposition(path, tuple(intervals))

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .bott import bott
-from .bundle import RelationError, cotangent, gabriel_decompose, require_valid, solve_derived_arrows, tangent, validate
+from .bundle import RelationError, cotangent, gabriel_decompose, require_structure, require_valid, solve_derived_arrows, tangent
 from .bundleio import BundleFormatError, load_rep, rep_to_dict, save_rep
 from .cohomology import GModuleDecomposition, euler, h0, h_graded
 from .geometry import build_geometry, parabolic_key
@@ -126,9 +126,7 @@ def _build_parser() -> _Parser:
 
 def _load_checked(path):
     rep = load_rep(path)
-    errors = validate(rep)
-    if errors:
-        raise ValueError("; ".join(errors))
+    require_structure(rep)
     return rep
 
 

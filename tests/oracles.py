@@ -26,6 +26,17 @@ def path_matrix(rep, src, roots):
     return rep.walk(src, roots, end)
 
 
+def arrow_or_zero(rep, src, root):
+    """The arrow matrix of rep from src in direction root; the zero map
+    when the arrow is absent."""
+    src = tuple(src)
+    mat = rep.arrows.get((src, root))
+    if mat is None:
+        tgt = tuple(a - b for a, b in zip(src, root.fund))
+        return Matrix.zeros(rep.dim(tgt), rep.dim(src))
+    return mat
+
+
 def transpose(mat):
     data = mat.data
     return Matrix(
@@ -77,7 +88,7 @@ def _hom_from_chain(rep, chain, alpha):
     # M_k is rep's arrow and the chain arrow is the identity
     for k in range(len(chain) - 1):
         src, tgt = chain[k], chain[k + 1]
-        mat = rep.arrow(src, alpha)
+        mat = arrow_or_zero(rep, src, alpha)
         data = mat.data
         dsrc, dtgt = dims[k], dims[k + 1]
         for i in range(mat.rows):
@@ -90,7 +101,7 @@ def _hom_from_chain(rep, chain, alpha):
     # below the chain bottom the chain module is zero, so the arrow out
     # of the bottom vertex must annihilate the image of phi there
     bottom = chain[-1]
-    mat = rep.arrow(bottom, alpha)
+    mat = arrow_or_zero(rep, bottom, alpha)
     data = mat.data
     k = len(chain) - 1
     for i in range(mat.rows):
@@ -377,7 +388,7 @@ def brute_force_h0_multiplicity(rep, lam):
         cur = lam
         ok = True
         for _ in range(k):
-            step = rep.arrow(cur, alpha)
+            step = arrow_or_zero(rep, cur, alpha)
             mat = step @ mat
             cur = tuple(a - b for a, b in zip(cur, alpha.fund))
         rows.extend(mat.data)

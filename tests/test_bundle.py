@@ -32,6 +32,7 @@ from homquiver.bundle import _arrow_steps, _closure, _seed_spaces
 
 from .oracles import (
     am_chain_oracle,
+    arrow_or_zero,
     colon_kernel_oracle,
     conjugate,
     path_matrix,
@@ -90,21 +91,66 @@ def test_validate_accepts_good_rep(a2):
     assert validate(rep_l(a2, 0)) == []
 
 
-def test_validate_flags_bad_shape(a2):
+# (support, arrows by simple root 1 or -1) and the one error validate gives.
+BAD_SHAPES = {
+    "coordinate-length": ({(0, 0, 0): 1}, {}, "vertex (0, 0, 0): wrong coordinate length"),
+    "dimension": ({(0, 0): 0}, {}, "vertex (0, 0): non-positive dimension 0"),
+    "source": ({(0, 0): 1}, {((5, 5), 1): [[1]]}, "arrow (5, 5) -(1, 0)->: source not in support"),
+    "target": (
+        {(0, 0): 1}, {((0, 0), 1): [[1]]},
+        "arrow (0, 0) -(1, 0)->: target (-2, 1) not in support",
+    ),
+    "nilradical": (
+        {(0, 0): 1, (2, -1): 1}, {((0, 0), -1): [[1]]},
+        "arrow (0, 0) -(-1, 0)->: not a nilradical root",
+    ),
+    "matrix-shape": (
+        {(0, 0): 2, (-2, 1): 1}, {((0, 0), 1): [[1, 0], [0, 1]]},
+        "arrow (0, 0) -(1, 0)->: matrix is 2x2, expected 1x2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHAPES)
+def test_validate_flags_bad_shape(a2, case):
+    support, arrows, message = BAD_SHAPES[case]
     a1, _ = both_simple(a2)
-    rep = QuiverRep(
-        a2,
-        {(0, 0): 2, (-2, 1): 1},
-        {((0, 0), a1): Matrix([[1, 0], [0, 1]])},
-    )
-    assert validate(rep)
+    arrows = {(src, a1 if sign > 0 else -a1): mat for (src, sign), mat in arrows.items()}
+    assert validate(QuiverRep(a2, support, arrows)) == [message]
+
+
+@pytest.mark.parametrize(
+    "support, arrows",
+    [
+        # An arrow from (3, 0), outside the support.
+        ({(0, 0): 1, (-2, 1): 1}, {(0, 0): [[1]], (3, 0): [[1]]}),
+        # A 1x1 arrow where the dimensions ask for 1x2.
+        ({(0, 0): 2, (-2, 1): 1}, {(0, 0): [[1]]}),
+    ],
+)
+def test_solve_rejects_invalid_structure(a2, support, arrows):
+    a1, _ = both_simple(a2)
+    rep = QuiverRep(a2, support, {(src, a1): mat for src, mat in arrows.items()})
+    errors = validate(rep)
+    assert errors
+    with pytest.raises(ValueError) as exc:
+        solve_derived_arrows(rep)
+    assert str(exc.value) == "; ".join(errors)
+
+
+def test_solve_rejection_that_lists_nothing_is_a_fault(a2, monkeypatch):
+    # rep_l(a2, 1) fails the Serre check; a listing that finds no violated
+    # instance then contradicts the decision.
+    monkeypatch.setattr(bundle_mod, "_violated_instances", lambda rep: [])
+    with pytest.raises(AssertionError, match="every relation instance holds"):
+        solve_derived_arrows(rep_l(a2, 1))
 
 
 def test_zero_arrows_are_dropped(a2):
     rep = rep_l(a2, 0)
     a1, _ = both_simple(a2)
     assert ((0, 0), a1) not in rep.arrows
-    assert rep.arrow((0, 0), a1).is_zero()
+    assert arrow_or_zero(rep, (0, 0), a1).is_zero()
 
 
 def test_extension_constant_forced_to_zero(a2):
@@ -450,20 +496,8 @@ def test_gabriel_zero_arrow_splits():
     assert dict(dec.intervals) == {(0, 0): 1, (1, 1): 1}
 
 
-def test_gabriel_check_survives_python_O():
-    # With every rank forced to 0 the intervals cannot cover the dimension
-    # vector; the check must still fire when asserts are stripped.
-    code = (
-        "from homquiver import Matrix, QuiverRep, build_geometry, gabriel_decompose\n"
-        "Matrix.rank = lambda self: 0\n"
-        "g = build_geometry('A1')\n"
-        "alpha = g.root_system.simple_root(1)\n"
-        "rep = QuiverRep(g, {(1,): 1, (-1,): 1}, {((1,), alpha): Matrix([[1]])})\n"
-        "try:\n"
-        "    gabriel_decompose(rep)\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-    )
+def run_optimized(code):
+    """Run code under ``python -O`` against this checkout; its stdout."""
     src = str(pathlib.Path(homquiver.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
@@ -474,12 +508,34 @@ def test_gabriel_check_survives_python_O():
         timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "Gabriel multiplicities do not match dimensions"
+    return res.stdout.strip()
+
+
+def test_gabriel_check_survives_python_O():
+    # A rank of 0 for a nonzero map, or one above the rank of a factor, is
+    # a wrong elimination; the check must still fire when asserts are
+    # stripped.
+    for mutant in (
+        "Matrix.rank = lambda self: 0",
+        "rank = Matrix.rank\nMatrix.rank = lambda self: rank(self) + 1",
+    ):
+        code = (
+            "from homquiver import Matrix, QuiverRep, build_geometry, gabriel_decompose\n"
+            f"{mutant}\n"
+            "g = build_geometry('A1')\n"
+            "alpha = g.root_system.simple_root(1)\n"
+            "rep = QuiverRep(g, {(1,): 1, (-1,): 1}, {((1,), alpha): Matrix([[1]])})\n"
+            "try:\n"
+            "    gabriel_decompose(rep)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run_optimized(code) == "Gabriel rank disagrees with its factors", mutant
 
 
 def test_gabriel_cost_follows_the_file():
-    # No arrow: the ranks are of identities and zero maps, which the
-    # elimination must not rescale row by row (that cost about d^3).
+    # No arrow: the ranks are the dimensions and no product is formed, so
+    # no d x d matrix is built or eliminated.
     g = build_geometry("A1", ())
     rep = QuiverRep(g, {(1,): 300, (-1,): 300})
     start = time.perf_counter()

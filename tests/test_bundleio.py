@@ -68,24 +68,30 @@ def test_fraction_entries_survive(tmp_path):
     assert back.arrows[((0, 0), alpha)].data[0][0] == Fraction(2, 3)
 
 
+MANGLES = [
+    (lambda d: d.pop("algebra"), None),
+    (lambda d: d.update(algebra="B2"), None),
+    (lambda d: d.update(extra=1), None),
+    (lambda d: d["vertices"].append({"weight": [0, 0], "dim": 1}), None),
+    (lambda d: d["vertices"][0].update(dim=0), None),
+    (lambda d: d["arrows"][0].update(root=[1, 1, 1]), None),
+    (lambda d: d["arrows"][0].update(matrix=[["1", "2"]]), None),
+    (lambda d: d["arrows"][0].update(matrix=[["x"]]), None),
+    (lambda d: d["arrows"].append(1), "arrow entries must be objects"),
+    (lambda d: d["arrows"][0].update(matrix="1"), '"matrix" must be a list of rows'),
+    (lambda d: d["arrows"][0].update({"from": [9, 9]}), r"arrow source \[9, 9\] is not a vertex"),
+    (lambda d: d["arrows"].append(dict(d["arrows"][0])), "duplicate arrow"),
+]
+
+
 @pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda d: d.pop("algebra"),
-        lambda d: d.update(algebra="B2"),
-        lambda d: d.update(extra=1),
-        lambda d: d["vertices"].append({"weight": [0, 0], "dim": 1}),
-        lambda d: d["vertices"][0].update(dim=0),
-        lambda d: d["arrows"][0].update(root=[1, 1, 1]),
-        lambda d: d["arrows"][0].update(matrix=[["1", "2"]]),
-        lambda d: d["arrows"][0].update(matrix=[["x"]]),
-    ],
+    "mangle, match", MANGLES, ids=[f"<lambda>{k}" for k in range(len(MANGLES))]
 )
-def test_malformed_documents_rejected(mangle):
+def test_malformed_documents_rejected(mangle, match):
     g = build_geometry("A2", ())
     doc = json.loads(json.dumps(rep_to_dict(solve_derived_arrows(rep_b(g, 2)))))
     mangle(doc)
-    with pytest.raises(BundleFormatError):
+    with pytest.raises(BundleFormatError, match=match):
         rep_from_dict(doc)
 
 

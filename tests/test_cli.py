@@ -182,6 +182,23 @@ def test_usage_errors_come_before_the_root_system_is_built(capsys):
         assert elapsed < 1.0, (argv, elapsed)
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["-o", "out.json"]),
+    ("gabriel", []),
+    ("hgr", ["--degree", "0"]),
+    ("euler", []),
+])
+def test_structural_errors_exit_two(command, extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = {"algebra": "A2", "levi": [1], "vertices": [{"weight": [-1, 0], "dim": 1}]}
+    pathlib.Path("bad.json").write_text(json.dumps(doc))
+    assert main([command, "bad.json", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex (-1, 0): not p-dominant for levi [1]\n"
+    assert not pathlib.Path("out.json").exists()
+
+
 def test_errors_stay_on_one_line(capsys):
     # argparse echoes unrecognized arguments verbatim, line breaks included
     for arg in ("a\nb", "\x85", "x y"):

@@ -23,7 +23,7 @@ from homquiver.linalg import Matrix
 
 from .oracles import brute_force_h0_multiplicity, random_consistent_rep, sl2_h0_oracle
 
-from .test_bundle import rep_b, rep_l
+from .test_bundle import rep_b, rep_l, run_optimized
 
 
 def scalar(v):
@@ -216,6 +216,30 @@ def test_h0_am_finds_chain_and_pairings_once(monkeypatch):
     )
     assert [(e.weight, e.multiplicity) for e in h0_am(rep).entries] == [((2,), 1)]
     assert calls == {"is_am_type": 1, "find_pairings": 1}
+
+
+def test_h0_am_scoring_check_survives_python_O():
+    # With its first interval dropped the Gabriel count of the no-arrow A1
+    # chain misses the sections at (1,); the check must still fire when
+    # asserts are stripped.
+    code = (
+        "import dataclasses\n"
+        "from homquiver import QuiverRep, build_geometry, h0_am\n"
+        "from homquiver import cohomology\n"
+        "gabriel = cohomology._gabriel_along\n"
+        "def dropped(rep, path):\n"
+        "    dec = gabriel(rep, path)\n"
+        "    return dataclasses.replace(dec, intervals=dec.intervals[1:])\n"
+        "cohomology._gabriel_along = dropped\n"
+        "rep = QuiverRep(build_geometry('A1'), {(1,): 1, (-1,): 1})\n"
+        "try:\n"
+        "    h0_am(rep)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(code) == (
+        "Gabriel scoring (0) disagrees with kernel computation (1) at (1,)"
+    )
 
 
 def test_h0_am_rejects_non_chain(a2):

@@ -29,7 +29,7 @@ from homquiver import (
 from homquiver.linalg import Matrix
 from homquiver.quiver import RelationInstance, borel_relation_instances
 
-from .oracles import path_matrix, relation_table, support_relation_instances
+from .oracles import arrow_or_zero, path_matrix, relation_table, support_relation_instances
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SMALL_TYPES = ("A2", "A3", "A4", "D4", "D5", "E6")
@@ -96,7 +96,7 @@ def dense_check(rep):
         res = path_matrix(rep, lam, (gamma, beta)) - path_matrix(rep, lam, (beta, gamma))
         if inst.coefficient:
             delta = rs.root(tuple(a + b for a, b in zip(beta.simple, gamma.simple)))
-            res = res - rep.arrow(lam, delta).scale(inst.coefficient)
+            res = res - arrow_or_zero(rep, lam, delta).scale(inst.coefficient)
         if not res.is_zero():
             violated.append(inst)
     return violated
