@@ -7,14 +7,13 @@ chamber counting reflections, or detect that it sits on a wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsystem import RootSystem, Weight
 
 
-@dataclass(frozen=True)
-class BottResult:
+class BottResult(NamedTuple):
     """Outcome of Bott's algorithm: singular, or one cohomology degree.
 
     ``degree`` is the reflection length, ``weight`` the dominant weight

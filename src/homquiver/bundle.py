@@ -24,8 +24,8 @@ a relation as a linear combination of arrow paths (``_combination``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .geometry import ParabolicGeometry, build_geometry
 from .linalg import Matrix, row_basis
@@ -277,16 +277,9 @@ def _violated_instances(rep: QuiverRep) -> list:
     return violated
 
 
-def check_relations(rep: QuiverRep) -> list:
-    """Violated relation instances of a structurally valid Borel
-    representation (empty = ok).
-
-    ``relations_hold`` decides; only a rejected representation pays for
-    listing the violated instances, and a rejection that lists nothing is
-    a fault of the decision.
-    """
-    if relations_hold(rep):
-        return []
+def _rejected_instances(rep: QuiverRep) -> list:
+    """The violated instances of a representation that the relation check
+    rejected; a rejection that lists nothing is a fault of the check."""
     violated = _violated_instances(rep)
     if not violated:
         raise AssertionError(
@@ -294,6 +287,16 @@ def check_relations(rep: QuiverRep) -> list:
             "relation instance holds"
         )
     return violated
+
+
+def check_relations(rep: QuiverRep) -> list:
+    """Violated relation instances of a structurally valid Borel
+    representation (empty = ok).
+
+    ``relations_hold`` decides; only a rejected representation pays for
+    listing the violated instances.
+    """
+    return [] if relations_hold(rep) else _rejected_instances(rep)
 
 
 def require_structure(rep: QuiverRep) -> None:
@@ -332,7 +335,7 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     require_structure(rep)
     work = _complete(rep)
     if not _serre_vanish(work):
-        raise RelationError(check_relations(work))
+        raise RelationError(_rejected_instances(work))
     return work
 
 
@@ -527,8 +530,7 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
 # ----- A_m-type support and Gabriel decomposition -------------------------------
 
 
-@dataclass(frozen=True)
-class AmPath:
+class AmPath(NamedTuple):
     """Support along a single arrow direction, gaps allowed.
 
     ``vertices`` is the full chain from the top vertex down to the lowest
@@ -540,8 +542,7 @@ class AmPath:
     vertices: tuple
 
 
-@dataclass(frozen=True)
-class GabrielDecomposition:
+class GabrielDecomposition(NamedTuple):
     """Interval decomposition of an A_m-type representation."""
 
     path: AmPath

@@ -10,10 +10,10 @@ against the Gabriel interval decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby, repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 from .bott import bott, weyl_dim
 from .bundle import QuiverRep, _gabriel_along, is_am_type, require_valid
@@ -21,8 +21,7 @@ from .linalg import Matrix
 from .rootsystem import Weight
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     """A dominant vertex paired with its length-1 reflection partner.
 
     ``target = source - k * alpha_j`` with ``k = source[j] + 1``; the
@@ -35,15 +34,13 @@ class Pairing:
     target: Weight
 
 
-@dataclass(frozen=True)
-class IsotypicEntry:
+class IsotypicEntry(NamedTuple):
     weight: Weight
     multiplicity: int
     dimension: int  # dimension of one copy
 
 
-@dataclass(frozen=True)
-class GModuleDecomposition:
+class GModuleDecomposition(NamedTuple):
     """A G-module presented as a multiset of isotypical components."""
 
     entries: tuple

@@ -14,38 +14,41 @@ so [n, n] is the sum of the g_k with k >= 2 and n/[n, n] is g_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootsystem import CartanType, Root, RootSystem, Weight, build_root_system
 
 
-@dataclass(frozen=True)
 class ParabolicGeometry:
     """A rational homogeneous variety G/P, up to the data this package needs.
 
     Equality and hashing see only ``(root_system, levi)``; the other
-    fields are derived from them.
+    attributes are derived from them.
     """
 
-    root_system: RootSystem
-    levi: tuple  # sorted 1-based simple-root indices of the Levi factor
-    nilradical_roots: tuple = field(init=False, compare=False)
-    generating_roots: tuple = field(init=False, compare=False)
-    # The Levi rho-shift: 1 on the Levi coordinates, 0 elsewhere.
-    rho_levi: Weight = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        rs = self.root_system
-        rho_levi = tuple(int(i + 1 in self.levi) for i in range(rs.rank))
-        object.__setattr__(self, "rho_levi", rho_levi)
-        nilradical = tuple(r for r in rs.positive_roots if self.is_nilradical(r))
-        generating = tuple(
-            r for r in nilradical
-            if sum(c for c, in_levi in zip(r.simple, rho_levi) if not in_levi) == 1
+    def __init__(self, root_system: RootSystem, levi: tuple):
+        self.root_system = root_system
+        self.levi = levi  # sorted 1-based simple-root indices of the Levi factor
+        # The Levi rho-shift: 1 on the Levi coordinates, 0 elsewhere.
+        self.rho_levi = tuple(int(i + 1 in levi) for i in range(root_system.rank))
+        self.nilradical_roots = tuple(r for r in root_system.positive_roots if self.is_nilradical(r))
+        self.generating_roots = tuple(
+            r for r in self.nilradical_roots
+            if sum(c for c, in_levi in zip(r.simple, self.rho_levi) if not in_levi) == 1
         )
-        object.__setattr__(self, "nilradical_roots", nilradical)
-        object.__setattr__(self, "generating_roots", generating)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root_system, self.levi) == (other.root_system, other.levi)
+
+    def __hash__(self):
+        return hash((self.root_system, self.levi))
+
+    def __repr__(self):
+        return (f"ParabolicGeometry(root_system={self.root_system!r}, levi={self.levi!r}, "
+                f"nilradical_roots={self.nilradical_roots!r}, "
+                f"generating_roots={self.generating_roots!r})")
 
     @property
     def is_borel(self) -> bool:

@@ -39,9 +39,9 @@ exactly when every instance does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
+from typing import NamedTuple
 
 from .geometry import ParabolicGeometry
 from .rootsystem import Root, RootSystem, Weight
@@ -50,22 +50,19 @@ GENERATING = "generating"
 DERIVED = "derived"
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: Weight
     root: Root
     target: Weight
     kind: str
 
 
-@dataclass(frozen=True)
-class QuiverWindow:
+class QuiverWindow(NamedTuple):
     vertices: tuple
     arrows: tuple
 
 
-@dataclass(frozen=True, order=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
     """One commutation relation at a vertex: paths beta,gamma vs direct beta+gamma."""
 
     source: Weight

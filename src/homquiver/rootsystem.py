@@ -11,8 +11,8 @@ theory, and nothing downstream may depend on the particular one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .linalg import Matrix, solve_in_basis
 
@@ -21,20 +21,23 @@ Weight = tuple  # integer vector in fundamental-weight coordinates
 _RANK_BOUNDS = {"A": (1, None), "D": (4, None), "E": (6, 8)}
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
+class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
     """A simply-laced Cartan type: series letter plus rank."""
 
-    series: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo_hi = _RANK_BOUNDS.get(self.series)
+    def __new__(cls, series: str, rank: int):
+        lo_hi = _RANK_BOUNDS.get(series)
         if lo_hi is None:
-            raise ValueError(f"unsupported series {self.series!r}: must be A, D or E")
+            raise ValueError(f"unsupported series {series!r}: must be A, D or E")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"invalid rank {self.rank} for series {self.series}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"invalid rank {rank} for series {series}")
+        return super().__new__(cls, series, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` validates too
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
@@ -75,8 +78,7 @@ def cartan_matrix(ct: CartanType) -> tuple:
     return tuple(tuple(row) for row in mat)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(NamedTuple):
     """A root, carrying simple-root and fundamental-weight coordinates."""
 
     simple: tuple

@@ -43,6 +43,7 @@ from .oracles import (
     span_closure_oracle,
     transpose,
 )
+from .test_relation_engine import dense_check
 
 
 def scalar(v):
@@ -144,6 +145,37 @@ def test_solve_rejection_that_lists_nothing_is_a_fault(a2, monkeypatch):
     monkeypatch.setattr(bundle_mod, "_violated_instances", lambda rep: [])
     with pytest.raises(AssertionError, match="every relation instance holds"):
         solve_derived_arrows(rep_l(a2, 1))
+
+
+def scaled_tangent_generators(name):
+    """The simple arrows of the tangent bundle, the first scaled by 3."""
+    rep = tangent(build_geometry(name))
+    rs = rep.geometry.root_system
+    simples = set(rs.positive_roots[: rs.rank])
+    arrows = {key: mat for key, mat in rep.arrows.items() if key[1] in simples}
+    first = min(arrows)
+    arrows[first] = arrows[first].scale(3)
+    return QuiverRep(rep.geometry, rep.support, arrows)
+
+
+@pytest.mark.parametrize("case", ["rep_l", "A3", "D4"])
+def test_rejected_solve_runs_the_serre_check_once(a2, case, monkeypatch):
+    # The solver's Serre check has already rejected the completion, so the
+    # listing must not decide again; it lists what check_relations lists
+    # for the completion, which is the dense check's list.
+    rep = rep_l(a2, 1) if case == "rep_l" else scaled_tangent_generators(case)
+    work = bundle_mod._complete(rep)
+    expected = check_relations(work)
+    assert expected and expected == dense_check(work)
+    calls = []
+    serre_vanish = bundle_mod._serre_vanish
+    monkeypatch.setattr(
+        bundle_mod, "_serre_vanish", lambda rep_: calls.append(rep_) or serre_vanish(rep_)
+    )
+    with pytest.raises(RelationError) as exc:
+        solve_derived_arrows(rep)
+    assert len(calls) == 1
+    assert list(exc.value.instances) == expected
 
 
 def test_zero_arrows_are_dropped(a2):

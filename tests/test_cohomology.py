@@ -223,13 +223,12 @@ def test_h0_am_scoring_check_survives_python_O():
     # chain misses the sections at (1,); the check must still fire when
     # asserts are stripped.
     code = (
-        "import dataclasses\n"
-        "from homquiver import QuiverRep, build_geometry, h0_am\n"
+        "from homquiver import GabrielDecomposition, QuiverRep, build_geometry, h0_am\n"
         "from homquiver import cohomology\n"
         "gabriel = cohomology._gabriel_along\n"
         "def dropped(rep, path):\n"
         "    dec = gabriel(rep, path)\n"
-        "    return dataclasses.replace(dec, intervals=dec.intervals[1:])\n"
+        "    return GabrielDecomposition(dec.path, dec.intervals[1:])\n"
         "cohomology._gabriel_along = dropped\n"
         "rep = QuiverRep(build_geometry('A1'), {(1,): 1, (-1,): 1})\n"
         "try:\n"
