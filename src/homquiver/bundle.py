@@ -88,23 +88,20 @@ class QuiverRep:
     def dim(self, lam: Weight) -> int:
         return self.support.get(tuple(lam), 0)
 
-    def walk(self, src: Weight, roots, end: Weight) -> Matrix:
-        """Composition of arrows from src along the roots, ending at end.
-
-        The product starts from the first arrow and is the zero map as
-        soon as an arrow is absent; ``roots`` (any iterable) is read no
-        further then, so a path leaving the support costs at most one
-        step per support vertex.
+    def walk(self, src: Weight, roots) -> Matrix | None:
+        """Composition of the arrows from src along the (non-empty) roots,
+        or None, the zero map, at the first absent arrow; ``roots`` is read
+        no further, so a walk takes at most one step per support vertex.
         """
         mat = None
         cur = src
         for root in roots:
             step = self.arrows.get((cur, root))
             if step is None:
-                return Matrix.zeros(self.dim(end), self.dim(src))
+                return None
             mat = step if mat is None else step @ mat
             cur = _sub(cur, root.fund)
-        return Matrix.identity(self.dim(src)) if mat is None else mat
+        return mat
 
 
 def validate(rep: QuiverRep) -> list:
@@ -142,19 +139,21 @@ def validate(rep: QuiverRep) -> list:
     return errors
 
 
-def _combination(rep: QuiverRep, lam: Weight, terms, end: Weight) -> Matrix:
-    """The map from lam to end given by a linear combination of arrow
-    paths: the sum of coef * (composition along path) over the (coef,
-    path) terms, paths as in ``QuiverRep.walk``.  A relation (the
-    ``quiver.serre_relations`` format) holds at lam when this is zero.
+def _combination(rep: QuiverRep, lam: Weight, terms) -> Matrix | None:
+    """The map from lam given by a linear combination of arrow paths: the
+    sum of coef * (composition along path) over the (coef, path) terms,
+    paths as in ``QuiverRep.walk``, or None when it is zero.  A relation
+    (the ``quiver.serre_relations`` format) holds at lam when it is None.
     """
     total = None
     for coef, path in terms:
-        mat = rep.walk(lam, path, end)
+        mat = rep.walk(lam, path)
+        if mat is None:
+            continue
         if coef != 1:
             mat = mat.scale(coef)
         total = mat if total is None else total + mat
-    return total
+    return None if total is None or total.is_zero() else total
 
 
 def _group(pairs) -> dict:
@@ -175,8 +174,8 @@ def _serre_vanish(rep: QuiverRep) -> bool:
     pending = {(lam, k) for lam, root in rep.arrows for k in by_first.get(root, ())}
     for lam, k in pending:
         shift, terms = relations[k]
-        end = _sub(lam, shift)
-        if end in rep.support and not _combination(rep, lam, terms, end).is_zero():
+        # Most relations end off the support, where no path runs: it prunes most walks.
+        if _sub(lam, shift) in rep.support and _combination(rep, lam, terms) is not None:
             return False
     return True
 
@@ -204,10 +203,9 @@ def _complete(rep: QuiverRep) -> QuiverRep:
         # N = chevalley(-beta, -gamma) is +-1 since beta + gamma is a root,
         # so 1/N = N and the bracket carries N as its coefficients.
         bracket = ((n, (gamma, beta)), (-n, (beta, gamma)))
-        # A 2-path joins arrow ends, so (by height) both lie in a valid rep's support.
         for lam in sorted(starts):
-            mat = _combination(work, lam, bracket, _sub(lam, delta.fund))
-            if not mat.is_zero():
+            mat = _combination(work, lam, bracket)
+            if mat is not None:
                 work.arrows[(lam, delta)] = mat
                 sources.setdefault(delta, []).append(lam)
     return work
@@ -253,7 +251,7 @@ def _violated_instances(rep: QuiverRep) -> list:
     out_roots = _group(rep.arrows)
     roots = {root for _, root in rep.arrows}
     decompositions = {root: _decompositions(rs, index, root) for root in roots}
-    relation = {}  # (i, j) -> (beta + gamma, N, terms), built once per pair
+    relation = {}  # (i, j) -> (N, terms), built once per pair
     violated = []
     for lam in sorted(rep.support):
         pairs = set()
@@ -270,9 +268,9 @@ def _violated_instances(rep: QuiverRep) -> list:
                 if n:
                     delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple)))
                     terms += ((-n, (delta,)),)
-                relation[i, j] = (tuple(map(operator.add, beta.fund, gamma.fund)), n, terms)
-            shift, n, terms = relation[i, j]
-            if not _combination(rep, lam, terms, _sub(lam, shift)).is_zero():
+                relation[i, j] = (n, terms)
+            n, terms = relation[i, j]
+            if _combination(rep, lam, terms) is not None:
                 violated.append(RelationInstance(lam, beta, gamma, n))
     return violated
 

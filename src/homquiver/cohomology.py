@@ -98,26 +98,26 @@ def find_pairings(rep: QuiverRep) -> tuple:
     return tuple(out)
 
 
-def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix:
-    """Product of the arrow matrices along the pairing path.
-
-    Any missing intermediate vertex or arrow contributes a zero map, so
-    the product is the zero matrix in that case.  The walk stops at the
-    first absent arrow, so its cost is bounded by the support size, not by
-    the magnitude of ``pairing.k``.
+def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix | None:
+    """Product of the arrow matrices along the pairing path, or None, the
+    zero map, when the path meets an absent arrow.  The walk stops there,
+    so its cost is bounded by the support size, not by ``pairing.k``.
     """
     if pairing.source not in rep.support or pairing.target not in rep.support:
         raise ValueError("pairing endpoints must lie in the support")
     alpha = rep.geometry.root_system.simple_root(pairing.index)
-    return rep.walk(pairing.source, repeat(alpha, pairing.k), pairing.target)
+    return rep.walk(pairing.source, repeat(alpha, pairing.k))
 
 
 def _section_multiplicities(rep: QuiverRep, pairings: tuple) -> dict:
     """Kernel dimension of the stacked pairing maps at each dominant vertex,
-    given ``find_pairings(rep)``, which lists them by source."""
+    given ``find_pairings(rep)``, which lists them by source.  A zero map
+    adds no rows, so a vertex with none keeps its full dimension."""
     out = {lam: d for lam, d in sorted(rep.support.items()) if all(c >= 0 for c in lam)}
     for lam, group in groupby(pairings, key=attrgetter("source")):
-        out[lam] = reduce(Matrix.vstack, [compose_path(rep, p) for p in group]).nullity()
+        blocks = [mat for mat in (compose_path(rep, p) for p in group) if mat is not None]
+        if blocks:
+            out[lam] = reduce(Matrix.vstack, blocks).nullity()
     return out
 
 

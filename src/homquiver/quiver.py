@@ -123,7 +123,8 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
     table = _arrow_table(geom)
     vertices = {center: center}  # each vertex keyed by itself, so arrows share it
     frontier = [center]
-    for _ in range(radius):
+    while frontier and radius:
+        radius -= 1
         nxt = []
         for v in frontier:
             for _, _, fund in _open_roots(geom, table, v):

@@ -18,12 +18,15 @@ from homquiver.linalg import Matrix
 
 
 def path_matrix(rep, src, roots):
-    """Composition of the arrows of rep from src in the given root order."""
-    src = tuple(src)
-    end = src
+    """Composition of the arrows of rep from src in the given root order,
+    shape-exact: the identity for no roots, the zero map across an absent
+    arrow."""
+    cur = tuple(src)
+    mat = Matrix.identity(rep.dim(cur))
     for root in roots:
-        end = tuple(a - b for a, b in zip(end, root.fund))
-    return rep.walk(src, roots, end)
+        mat = arrow_or_zero(rep, cur, root) @ mat
+        cur = tuple(a - b for a, b in zip(cur, root.fund))
+    return mat
 
 
 def arrow_or_zero(rep, src, root):

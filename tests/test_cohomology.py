@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 
@@ -61,7 +62,7 @@ def test_compose_path_missing_intermediate_is_zero(a2):
     rep = QuiverRep(a2, {(1, 0): 1, (-3, 2): 1}, {})
     pairings = find_pairings(rep)
     assert len(pairings) == 1 and pairings[0].k == 2
-    assert compose_path(rep, pairings[0]).is_zero()
+    assert compose_path(rep, pairings[0]) is None
 
 
 def test_h0_trivial_and_singular_lines(a2):
@@ -337,6 +338,30 @@ def test_h0_cost_does_not_grow_with_coordinate_size(tmp_path):
         "weight=1000000,0 mult=1 dim=500001500001\ntotal=500001500001\n"
     )
     assert elapsed < 1.0, elapsed
+
+
+def gap_rep(d):
+    """A1 with vertices (1) and (-3) of dimension d and no arrows: the
+    pairing of (1) runs through the absent vertex (-1)."""
+    return QuiverRep(build_geometry("A1", ()), {(1,): d, (-3,): d})
+
+
+def test_pairing_across_a_gap_is_no_matrix():
+    rep = gap_rep(100_000)
+    (pairing,) = find_pairings(rep)
+    assert compose_path(rep, pairing) is None
+
+
+@pytest.mark.parametrize("sections", [h0, h0_am])
+def test_sections_across_a_gap_do_not_grow_with_dim(sections):
+    # a d x d zero block for the pairing of (1) made this grow as d^2
+    d = 100_000
+    rep = gap_rep(d)
+    start = time.perf_counter()
+    total = sections(rep).total_dimension
+    elapsed = time.perf_counter() - start
+    assert total == 2 * d
+    assert elapsed < 0.5, elapsed
 
 
 def test_h0_of_e8_tangent_within_budget():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -64,6 +65,17 @@ def test_window_radius_zero():
     w = quiver_window(g, (0, 0), 0)
     assert w.vertices == ((0, 0),)
     assert w.arrows == ()
+
+
+def test_window_without_nilradical_stops_at_the_center():
+    # P = G: no arrow leaves the centre, so the search ends whatever the radius
+    g = build_geometry("A2", (1, 2))
+    start = time.perf_counter()
+    w = quiver_window(g, (0, 0), 10**12)
+    elapsed = time.perf_counter() - start
+    assert w.vertices == ((0, 0),)
+    assert w.arrows == ()
+    assert elapsed < 1.0, elapsed
 
 
 def test_window_requires_vertex_center():

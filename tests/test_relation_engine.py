@@ -65,17 +65,22 @@ def sparse_order(geom, support):
 def checked_order(rep, monkeypatch):
     """The instances the full enumeration behind check_relations evaluates,
     in order, read back from the path combinations it hands to
-    ``_combination`` (a zero coefficient drops the third term)."""
+    ``_combination`` (a zero coefficient drops the third term); every
+    path of an instance must end at the instance's end."""
     seen = []
     original = bundle_mod._combination
 
-    def recording(rep_, lam, terms, end):
+    def recording(rep_, lam, terms):
         (_, (gamma, beta)), _, *rest = terms
         coefficient = -rest[0][0] if rest else 0
         inst = RelationInstance(lam, beta, gamma, coefficient)
-        assert end == _end(inst)
+        for _, path in terms:
+            end = lam
+            for root in path:
+                end = tuple(a - b for a, b in zip(end, root.fund))
+            assert end == _end(inst)
         seen.append(inst)
-        return original(rep_, lam, terms, end)
+        return original(rep_, lam, terms)
 
     monkeypatch.setattr(bundle_mod, "_combination", recording)
     violated = bundle_mod._violated_instances(rep)
