@@ -326,11 +326,12 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     are checked, and a RelationError carrying the violated instances is
     raised when no consistent completion exists.  Non-generating arrows
     present in the input are ignored and recomputed.  A structurally
-    invalid input raises ValueError, as in ``require_valid``.
+    invalid input raises ValueError, as in ``require_valid``, before the
+    parabolic is tested.
     """
+    require_structure(rep)
     if not rep.geometry.is_borel:
         raise ValueError("solve_derived_arrows needs the Borel parabolic")
-    require_structure(rep)
     work = _complete(rep)
     if not _serre_vanish(work):
         raise RelationError(_rejected_instances(work))
@@ -428,70 +429,65 @@ def cotangent(geom: ParabolicGeometry) -> QuiverRep:
 # ----- sub- and quotient representations ---------------------------------------
 
 
-def _seed_spaces(rep: QuiverRep, seeds, at_seeds: bool) -> dict:
-    """The full space (identity rows) at each vertex that is a seed, or with
-    ``at_seeds`` false each vertex that is not one; zero spaces elsewhere."""
+def _closure(rep: QuiverRep, seeds, forward: bool, what: str) -> tuple:
+    """The closed spaces, their support and the induced arrow maps of
+    ``subrep_generated`` (forward) or ``colon_quotient`` (backward).
+
+    A space is an rref row basis (``linalg.row_basis``), or None: the full
+    space, held without rows.  It starts full at the seeds going forward
+    and at the other vertices going backward, zero elsewhere.  Forward, an
+    arrow A: src -> tgt stacks S_src @ A^T onto S_tgt, keys in decreasing
+    source height; backward it stacks F_tgt @ A onto F_src, keys in
+    increasing source height.  An arrow lam -> lam - beta lowers the
+    height (lam, rho) by gram_scale * ht(beta) > 0, so every arrow into a
+    vertex starts higher than every arrow out of it: a space is final
+    before a step reads it, and each push is computed once.
+
+    The induced map of a step into b is the Y with Y @ spaces[b] ==
+    pushed: the pivot columns of the pushed rows, as an rref basis is the
+    identity there, or the pushed rows for a full space.  The product is
+    checked for a proper subspace: spaces the arrows do not preserve raise
+    AssertionError(what).  Steps from a zero space induce zero maps and
+    are left out.
+    """
     seeds = {tuple(s) for s in seeds}
     if not seeds <= set(rep.support):
         raise ValueError("seed vertices must lie in the support")
-    return {
-        lam: Matrix.identity(d) if (lam in seeds) == at_seeds else Matrix.zeros(0, d)
-        for lam, d in rep.support.items()
-    }
-
-
-def _arrow_steps(rep: QuiverRep, forward: bool) -> tuple:
-    """The arrow keys of rep and the closure steps ``(a, b, M)`` they give.
-
-    Forward, an arrow A: src -> tgt pushes row spaces S from src to tgt:
-    the step (src, tgt, A^T), keys in decreasing source height.  Backward
-    it pulls annihilators F from tgt back to src: the step (tgt, src, A),
-    keys in increasing source height.  An arrow lam -> lam - beta has beta
-    positive, so it lowers the height (lam, rho) by gram_scale * ht(beta)
-    > 0: every arrow into a vertex starts higher than every arrow out of
-    it, and in either order a space is final before a step reads it.
-    """
     rs = rep.geometry.root_system
     keys = sorted(
         rep.arrows, key=lambda key: rs.scaled_inner(key[0], rs.rho), reverse=forward
     )
-    steps = []
-    for src, root in keys:
-        tgt = _sub(src, root.fund)
-        mat = rep.arrows[(src, root)]
-        steps.append((src, tgt, mat.transpose()) if forward else (tgt, src, mat))
-    return keys, steps
+    spaces = {
+        lam: None if (lam in seeds) == forward else Matrix.zeros(0, d)
+        for lam, d in rep.support.items()
+    }
+    pivots = {}
+    pushes = []
+    for key in keys:
+        src, tgt = key[0], _sub(key[0], key[1].fund)
+        a, b = (src, tgt) if forward else (tgt, src)
+        space = spaces[a]
+        if space is not None and not space.rows:
+            continue
+        mat = rep.arrows[key].transpose() if forward else rep.arrows[key]
+        pushed = mat if space is None else space @ mat
+        if spaces[b] is not None:
+            spaces[b], pivots[b] = row_basis(spaces[b].vstack(pushed))
+            if spaces[b].rows == spaces[b].cols:
+                spaces[b] = None
+        pushes.append((key, b, pushed))
 
-
-def _closure(spaces: dict, steps) -> dict:
-    """Close rref row bases under the steps, in their order.
-
-    Each step (a, b, M) stacks the pushed rows spaces[a] @ M onto
-    spaces[b] and reduces (``linalg.row_basis``), skipped when spaces[a]
-    is zero or spaces[b] already the whole space.
-    """
-    for a, b, mat in steps:
-        if spaces[a].rows and spaces[b].rows < spaces[b].cols:
-            spaces[b] = row_basis(spaces[b].vstack(spaces[a] @ mat))[0]
-    return spaces
-
-
-def _induced(spaces: dict, steps, what: str) -> list:
-    """For each step (a, b, M) the Y with Y @ spaces[b] == spaces[a] @ M.
-
-    spaces[b] is an rref row basis, the identity in its pivot columns, so
-    Y is the pivot columns of the pushed rows.  The product is checked:
-    spaces the steps do not preserve raise AssertionError(what).
-    """
-    out = []
-    for a, b, mat in steps:
-        pushed = spaces[a] @ mat
-        pivots = [next(j for j, x in enumerate(row) if x) for row in spaces[b].num]
-        y = pushed.pick_columns(pivots)
-        if y @ spaces[b] != pushed:
-            raise AssertionError(what)
-        out.append(y)
-    return out
+    induced = {}
+    for key, b, pushed in pushes:
+        if spaces[b] is not None:
+            y = pushed.pick_columns(pivots[b])
+            if y @ spaces[b] != pushed:
+                raise AssertionError(what)
+            pushed = y
+        induced[key] = pushed
+    support = {lam: d if spaces[lam] is None else spaces[lam].rows
+               for lam, d in rep.support.items()}
+    return spaces, {lam: d for lam, d in support.items() if d}, induced
 
 
 def subrep_generated(rep: QuiverRep, seeds) -> QuiverRep:
@@ -499,13 +495,10 @@ def subrep_generated(rep: QuiverRep, seeds) -> QuiverRep:
 
     The span S at each vertex is the forward closure of the full seed
     spaces.  The restricted arrow X solves S_tgt^T @ X = A @ S_src^T, so it
-    is Y^T for the Y of ``_induced``; zero-sized ones are dropped.
+    is Y^T for the induced Y of ``_closure``; zero-sized ones are dropped.
     """
-    keys, steps = _arrow_steps(rep, forward=True)
-    spans = _closure(_seed_spaces(rep, seeds, at_seeds=True), steps)
-    sub = _induced(spans, steps, "generated spans are not arrow-invariant")
-    support = {lam: s.rows for lam, s in spans.items() if s.rows}
-    return QuiverRep(rep.geometry, support, {k: y.transpose() for k, y in zip(keys, sub)})
+    _, support, sub = _closure(rep, seeds, True, "generated spans are not arrow-invariant")
+    return QuiverRep(rep.geometry, support, {k: y.transpose() for k, y in sub.items()})
 
 
 def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
@@ -516,13 +509,11 @@ def colon_quotient(rep: QuiverRep, seeds) -> QuiverRep:
     seeds and everything elsewhere: the annihilator of the preimage of
     K_tgt under A is spanned by F_tgt @ A, and that of an intersection is
     the sum.  F is the projection onto the quotient, and the quotient
-    arrow is the X with X @ F_src = F_tgt @ A, the Y of ``_induced``.
+    arrow is the X with X @ F_src = F_tgt @ A, the induced Y of
+    ``_closure``.
     """
-    keys, steps = _arrow_steps(rep, forward=False)
-    ann = _closure(_seed_spaces(rep, seeds, at_seeds=False), steps)
-    quo = _induced(ann, steps, "colon kernel is not arrow-invariant")
-    support = {lam: f.rows for lam, f in ann.items() if f.rows}
-    return QuiverRep(rep.geometry, support, dict(zip(keys, quo)))
+    _, support, quo = _closure(rep, seeds, False, "colon kernel is not arrow-invariant")
+    return QuiverRep(rep.geometry, support, quo)
 
 
 # ----- A_m-type support and Gabriel decomposition -------------------------------

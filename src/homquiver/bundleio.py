@@ -127,17 +127,14 @@ def rep_from_dict(doc: dict) -> QuiverRep:
             )
         rows = support[tgt]
         cols = support[src]
-        data = [
-            [_entry(x, f"arrow {list(src)} -> {list(tgt)}") for x in r]
-            for r in a["matrix"]
-        ]
+        where = f"arrow {list(src)} -> {list(tgt)}"
+        data = [[_entry(x, where) for x in r] for r in a["matrix"]]
         if len({len(r) for r in data}) > 1:
-            raise BundleFormatError(f"arrow {list(src)} -> {list(tgt)}: ragged matrix rows")
+            raise BundleFormatError(f"{where}: ragged matrix rows")
         mat = Matrix(data, len(data), len(data[0]) if data else cols)
         if (mat.rows, mat.cols) != (rows, cols):
             raise BundleFormatError(
-                f"arrow {list(src)} -> {list(tgt)}: matrix is {mat.rows}x{mat.cols}, "
-                f"expected {rows}x{cols}"
+                f"{where}: matrix is {mat.rows}x{mat.cols}, expected {rows}x{cols}"
             )
         if (src, root) in arrows:
             raise BundleFormatError(f"duplicate arrow at {list(src)}, root {list(root_simple)}")
@@ -182,5 +179,4 @@ def load_rep(path) -> QuiverRep:
 
 def save_rep(rep: QuiverRep, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rep_to_dict(rep), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(rep_to_dict(rep), indent=2) + "\n")

@@ -189,7 +189,7 @@ def _check(args):
 
 
 def _solve(args):
-    save_rep(solve_derived_arrows(_load_checked(args.file)), args.output)
+    save_rep(solve_derived_arrows(load_rep(args.file)), args.output)
     return {"ok": True, "output": args.output}, [f"solved: wrote {args.output}"]
 
 

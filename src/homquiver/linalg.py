@@ -88,8 +88,9 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
+        # No rows, no zero row to build: a 0 x d zero space costs nothing.
         mat = object.__new__(cls)
-        mat._set(((0,) * cols,) * rows, 1, rows, cols)
+        mat._set(((0,) * cols,) * rows if rows else (), 1, rows, cols)
         return mat
 
     @classmethod

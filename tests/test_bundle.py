@@ -28,7 +28,7 @@ from homquiver import (
 from homquiver.linalg import Matrix, row_basis
 
 from homquiver import bundle as bundle_mod
-from homquiver.bundle import _arrow_steps, _closure, _seed_spaces
+from homquiver.bundle import _closure
 
 from .oracles import (
     am_chain_oracle,
@@ -379,17 +379,20 @@ def test_closures_match_fixpoint_oracles():
     # the same rref bases, and annihilators of exactly the oracle kernels
     for rep, seeds in _closure_cases():
         spans = span_closure_oracle(rep, seeds)
-        steps = _arrow_steps(rep, forward=True)[1]
-        got = _closure(_seed_spaces(rep, seeds, at_seeds=True), steps)
+        got = _closure(rep, seeds, True, "")[0]
         assert got.keys() == spans.keys()
         for lam, basis in got.items():
+            # None is the full space: its basis is the identity.
+            if basis is None:
+                basis = Matrix.identity(rep.support[lam])
             assert list(basis.data) == spans[lam]
         assert subrep_generated(rep, seeds) == restrict_oracle(rep, spans)
         kernel = colon_kernel_oracle(rep, seeds)
-        steps = _arrow_steps(rep, forward=False)[1]
-        ann = _closure(_seed_spaces(rep, seeds, at_seeds=False), steps)
+        ann = _closure(rep, seeds, False, "")[0]
         assert ann.keys() == kernel.keys()
         for lam, f in ann.items():
+            if f is None:
+                f = Matrix.identity(rep.support[lam])
             k = Matrix(kernel[lam], len(kernel[lam]), f.cols)
             assert (f @ transpose(k)).is_zero()
             assert f.rank() + k.rows == f.cols
@@ -398,16 +401,15 @@ def test_closures_match_fixpoint_oracles():
 
 
 def test_commutative_square_checks_reject_non_invariant_spaces(monkeypatch):
-    # identity arrow on a 2-space, first coordinate line at the source and
-    # second at the target: the image of the source line leaves the target
-    # line, and the target functionals pulled back do not vanish on the
-    # kernel of the source functionals.  Both closures are replaced by
-    # these lines, so the check in _induced is what sees them.
+    # identity arrow on a 2-space, seeded at its source: each closure
+    # stacks the pushed identity onto the zero space at the other end of
+    # the arrow (the target forward, the source backward).  The reduction
+    # is replaced by one returning the first coordinate line, which misses
+    # the pushed rows, so the commutative-square check is what sees it.
     g = build_geometry("A1", ())
     alpha = g.root_system.simple_root(1)
     rep = QuiverRep(g, {(2,): 2, (0,): 2}, {((2,), alpha): Matrix.identity(2)})
-    line = {(2,): Matrix([[1, 0]]), (0,): Matrix([[0, 1]])}
-    monkeypatch.setattr(bundle_mod, "_closure", lambda spaces, steps: dict(line))
+    monkeypatch.setattr(bundle_mod, "row_basis", lambda mat: (Matrix([[1, 0]]), (0,)))
     with pytest.raises(AssertionError, match="generated spans are not arrow-invariant"):
         subrep_generated(rep, [(2,)])
     with pytest.raises(AssertionError, match="colon kernel is not arrow-invariant"):
@@ -420,8 +422,7 @@ def test_commutative_square_checks_survive_python_O():
         "g = build_geometry('A1')\n"
         "alpha = g.root_system.simple_root(1)\n"
         "rep = QuiverRep(g, {(2,): 2, (0,): 2}, {((2,), alpha): Matrix.identity(2)})\n"
-        "line = {(2,): Matrix([[1, 0]]), (0,): Matrix([[0, 1]])}\n"
-        "bundle._closure = lambda spaces, steps: dict(line)\n"
+        "bundle.row_basis = lambda mat: (Matrix([[1, 0]]), (0,))\n"
         "for build in (bundle.subrep_generated, bundle.colon_quotient):\n"
         "    try:\n"
         "        build(rep, [(2,)])\n"
@@ -442,6 +443,19 @@ def test_commutative_square_checks_survive_python_O():
         "generated spans are not arrow-invariant",
         "colon kernel is not arrow-invariant",
     ]
+
+
+def test_full_spaces_do_not_grow_with_dim():
+    # A1 with vertices (1) and (-3) and no arrows: a d x d identity at
+    # each full space made both grow as d^2
+    rep = QuiverRep(build_geometry("A1", ()), {(1,): 3000, (-3,): 3000})
+    start = time.perf_counter()
+    sub = subrep_generated(rep, [(1,)])
+    quo = colon_quotient(rep, [(1,)])
+    elapsed = time.perf_counter() - start
+    assert sub.support == {(1,): 3000}
+    assert quo.support == {(-3,): 3000}
+    assert elapsed < 0.5, elapsed
 
 
 def test_is_am_type_detection():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -59,6 +60,19 @@ def test_zero_dimensional_shapes():
     assert a.rank() == 0
     assert a.nullity() == 3
     assert b.nullity() == 0
+
+
+def test_zero_row_matrix_builds_no_row():
+    # a 0 x d zero space allocates nothing that grows with d; a row of d
+    # zeros is 8 MB here
+    tracemalloc.start()
+    try:
+        a = Matrix.zeros(0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (a.rows, a.cols, a.num) == (0, 10**6, ())
+    assert peak < 10**5, peak
 
 
 def test_matmul_identity_and_associativity():
