@@ -8,6 +8,7 @@ chamber counting reflections, or detect that it sits on a wall.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 from .rootsystem import RootSystem, Weight
@@ -41,26 +42,63 @@ def sub_positive_roots(rs: RootSystem, indices: frozenset) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _pairing_table(rs: RootSystem, indices: frozenset) -> tuple:
+    """``(simples, steps)`` for the roots of ``sub_positive_roots(rs, indices)``.
+
+    The simple roots come first: ``simples`` holds their 0-based indices.
+    Each later root delta has some i with (delta, alpha_i) = 1, since
+    (delta, delta) = 2 and in type ADE no pairing of delta with another
+    root exceeds 1.  Then gamma = delta - alpha_i is a root, positive as
+    delta is not simple, with support inside delta's and a smaller
+    height, so it comes earlier in the same list.  ``steps`` holds
+    (position of gamma, i) for each such delta, in order.
+    """
+    pos = sub_positive_roots(rs, indices)
+    where = {r: k for k, r in enumerate(pos)}
+    simples, steps = [], []
+    for delta in pos:
+        if delta.height == 1:
+            simples.append(delta.simple.index(1))
+        else:
+            i = delta.fund.index(1)
+            gamma = list(delta.simple)
+            gamma[i] -= 1
+            steps.append((where[rs.root(gamma)], i))
+    return tuple(simples), tuple(steps)
+
+
+def root_pairings(rs: RootSystem, v: Weight, indices: frozenset) -> list:
+    """(v, alpha) for each root alpha of ``sub_positive_roots(rs, indices)``,
+    in order, by one addition per root: (v, gamma + alpha_i) = (v, gamma) + v_i."""
+    simples, steps = _pairing_table(rs, indices)
+    out = [v[i] for i in simples]
+    for k, i in steps:
+        out.append(out[k] + v[i])
+    return out
+
+
 def dominantize(rs: RootSystem, v: Weight, indices=None):
     """Translate v to the (sub-)dominant chamber by simple reflections.
 
     ``indices`` restricts to the sub-root-system spanned by the given
     1-based simple indices (the whole system when omitted).  Returns None
-    when v is singular for that sub-system, else ``(length, dominant)``.
-    The reflection count is cross-checked against the number of positive
-    roots pairing negatively with v; the two must always agree.
+    when v is singular for that sub-system (some positive root pairs to 0
+    with v), else ``(length, dominant)``.  The pairings come from
+    ``root_pairings``, one addition per root; the reflection count is
+    cross-checked against the number of them that are negative, and the
+    two must always agree.
     """
     if indices is None:
         indices = range(1, rs.rank + 1)
-    indices = tuple(sorted(set(indices)))
-    pos = sub_positive_roots(rs, frozenset(indices))
+    indices = frozenset(indices)
     if len(v) != rs.rank:
         raise ValueError("rank mismatch")
-    inners = [sum(x * y for x, y in zip(v, a.simple)) for a in pos]
-    if any(c == 0 for c in inners):
+    inners = root_pairings(rs, v, indices)
+    if 0 in inners:
         return None
-    negative_count = sum(1 for c in inners if c < 0)
-    length, w = reflect_to_dominant(rs, v, indices)
+    negative_count = sum(c < 0 for c in inners)
+    length, w = reflect_to_dominant(rs, v, sorted(indices))
     if length != negative_count:
         raise AssertionError("reflection count disagrees with inversion count")
     return length, w
@@ -93,12 +131,11 @@ def weyl_dim(rs: RootSystem, nu: Weight, indices=None) -> int:
     indices = frozenset(indices)
     if any(nu[i - 1] < 0 for i in indices):
         raise ValueError(f"{nu} is not dominant")
-    num = 1
-    den = 1
+    if len(nu) != rs.rank:
+        raise ValueError("rank mismatch")
     shifted = tuple(c + 1 for c in nu)
-    for alpha in sub_positive_roots(rs, indices):
-        num *= rs.inner(shifted, alpha)
-        den *= alpha.height  # (rho, alpha)
+    num = prod(root_pairings(rs, shifted, indices))
+    den = prod(root_pairings(rs, rs.rho, indices))  # (rho, alpha) = height
     q, r = divmod(num, den)
     if r:
         raise AssertionError("Weyl dimension formula gave a non-integer")

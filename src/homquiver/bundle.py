@@ -454,8 +454,9 @@ def _closure(rep: QuiverRep, seeds, forward: bool, what: str) -> tuple:
     if not seeds <= set(rep.support):
         raise ValueError("seed vertices must lie in the support")
     rs = rep.geometry.root_system
+    rho_row = [sum(row) for row in rs.gram]  # gram @ rho, as rho = (1, ..., 1)
     keys = sorted(
-        rep.arrows, key=lambda key: rs.scaled_inner(key[0], rs.rho), reverse=forward
+        rep.arrows, key=lambda key: sum(map(operator.mul, key[0], rho_row)), reverse=forward
     )
     spaces = {
         lam: None if (lam in seeds) == forward else Matrix.zeros(0, d)

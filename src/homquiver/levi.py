@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from .bott import dominantize, reflect_to_dominant, sub_positive_roots, weyl_dim
+from .bott import dominantize, reflect_to_dominant, root_pairings, sub_positive_roots, weyl_dim
 from .geometry import ParabolicGeometry
 from .rootsystem import Weight
 
@@ -52,7 +52,8 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
     scale = rs.gram_scale
     levi = geom.levi
     rho_l = geom.rho_levi
-    pos_l = sub_positive_roots(rs, frozenset(levi))
+    levi_set = frozenset(levi)
+    pos_l = sub_positive_roots(rs, levi_set)
     lam_shift = tuple(a + b for a, b in zip(lam, rho_l))
     top_norm = rs.scaled_inner(lam_shift, lam_shift)
 
@@ -63,9 +64,8 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
         for mu in pending.pop(depth, ()):
             if mu != lam:
                 num = 0
-                for alpha in pos_l:
+                for alpha, pairing in zip(pos_l, root_pairings(rs, mu, levi_set)):
                     # (mu + k*alpha, alpha) is (mu, alpha) + 2k.
-                    pairing = sum(a * b for a, b in zip(mu, alpha.simple))
                     for k in count(1):
                         up = tuple(a + k * b for a, b in zip(mu, alpha.fund))
                         m_up = mult.get(reflect_to_dominant(rs, up, levi)[1])

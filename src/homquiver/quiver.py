@@ -115,32 +115,41 @@ def arrows_from(geom: ParabolicGeometry, lam: Weight) -> tuple:
 
 def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> QuiverWindow:
     """Vertices reachable from center in at most ``radius`` forward arrow
-    steps, together with all induced arrows."""
+    steps, together with all induced arrows.
+
+    One breadth-first pass computes each vertex's arrows once: a vertex
+    closer than ``radius`` keeps all of them, and its new targets form the
+    next layer; a vertex at distance ``radius`` keeps those whose targets
+    are already vertices.  The pass stops at the first empty layer, so a
+    huge radius costs no more than the whole reachable quiver.  Arrows
+    come in sorted vertex order, each vertex's in root order.
+    """
     if not is_vertex(geom, center):
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     table = _arrow_table(geom)
     vertices = {center: center}  # each vertex keyed by itself, so arrows share it
+    out = {}
     frontier = [center]
-    while frontier and radius:
+    while frontier:
+        last = not radius
         radius -= 1
         nxt = []
         for v in frontier:
-            for _, _, fund in _open_roots(geom, table, v):
+            arrows = out[v] = []
+            for beta, kind, fund in _open_roots(geom, table, v):
                 t = tuple(map(sub, v, fund))
-                if t not in vertices:
-                    vertices[t] = t
+                u = vertices.get(t)
+                if u is None:
+                    if last:
+                        continue
+                    vertices[t] = u = t
                     nxt.append(t)
+                arrows.append(Arrow(v, beta, u, kind))
         frontier = nxt
     order = tuple(sorted(vertices))
-    arrows = []
-    for v in order:
-        for beta, kind, fund in _open_roots(geom, table, v):
-            t = vertices.get(tuple(map(sub, v, fund)))
-            if t is not None:
-                arrows.append(Arrow(v, beta, t, kind))
-    return QuiverWindow(order, tuple(arrows))
+    return QuiverWindow(order, tuple(a for v in order for a in out[v]))
 
 
 def borel_relation_instances(geom: ParabolicGeometry, support) -> tuple:

@@ -10,7 +10,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from homquiver import QuiverRep, RelationInstance, build_geometry, direct_sum, irreducible
+from homquiver import (
+    QuiverRep,
+    RelationInstance,
+    arrows_from,
+    build_geometry,
+    direct_sum,
+    irreducible,
+)
 from homquiver.linalg import Matrix
 
 
@@ -620,6 +627,49 @@ def _dual_component_tensor(geom, lam, index):
             label = tuple(a - p for a, p in zip(res[1], rho_l))
             out[label] = out.get(label, 0) + res[0]
     return out
+
+
+def dominantize_oracle(rs, v, indices=None):
+    """The per-root Bott step: None when some positive root of the
+    sub-system spanned by ``indices`` (1-based, all when omitted) pairs to
+    0 with v, else (length, dominant) from reflecting at the first
+    negative coordinate, the length checked against the number of
+    positive roots pairing negatively with v.  Each pairing is a full
+    contraction with the root's simple coordinates."""
+    indices = sorted(set(range(1, rs.rank + 1) if indices is None else indices))
+    pos = [r for r in rs.positive_roots
+           if all(c == 0 or j + 1 in indices for j, c in enumerate(r.simple))]
+    inners = [sum(x * y for x, y in zip(v, r.simple)) for r in pos]
+    if 0 in inners:
+        return None
+    w, length = tuple(v), 0
+    while True:
+        i = next((i for i in indices if w[i - 1] < 0), None)
+        if i is None:
+            break
+        w = rs.simple_reflect(w, i)
+        length += 1
+    if length != sum(1 for c in inners if c < 0):
+        raise AssertionError("reflection count disagrees with inversion count")
+    return length, w
+
+
+def quiver_window_two_pass(geom, center, radius):
+    """The window as two passes over ``arrows_from``: a breadth-first
+    search for the vertices, then every vertex's arrows again, kept when
+    the target is a vertex."""
+    vertices = {center}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for a in arrows_from(geom, v):
+                if a.target not in vertices:
+                    vertices.add(a.target)
+                    nxt.append(a.target)
+        frontier = nxt
+    order = tuple(sorted(vertices))
+    return order, tuple(a for v in order for a in arrows_from(geom, v) if a.target in vertices)
 
 
 def quiver_window_oracle(geom, center, radius):

@@ -374,3 +374,16 @@ def test_h0_of_e8_tangent_within_budget():
     elapsed = time.perf_counter() - start
     assert result.total_dimension == 248
     assert elapsed < 2.0, elapsed
+
+
+def test_euler_of_d20_tangent_within_budget():
+    # euler runs Bott's algorithm at each of the 380 vertices; on a 2-vCPU
+    # x86_64 machine with CPython 3.11, pairing each weight with every
+    # positive root by a rank-long contraction took about 0.22 s, and one
+    # addition per root takes about 0.015 s
+    rep = tangent(build_geometry("D20"))
+    start = time.perf_counter()
+    value = euler(rep)
+    elapsed = time.perf_counter() - start
+    assert value == 780
+    assert elapsed < 0.1, elapsed

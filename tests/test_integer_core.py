@@ -2,9 +2,9 @@
 
 Root lookup by fundamental coordinates, the integer Gram form, the
 integer Freudenthal recursion, the dual-component table behind arrow
-multiplicities, the arrows leaving a vertex and quiver windows must all
-give exactly what the plain rational-arithmetic versions in
-``tests/oracles.py`` give.
+multiplicities, the arrows leaving a vertex, quiver windows and Bott's
+dominantization must all give exactly what the plain rational-arithmetic
+or per-root versions in ``tests/oracles.py`` give.
 """
 
 import itertools
@@ -12,14 +12,22 @@ import random
 
 import pytest
 
-from homquiver import arrows_from, build_geometry, build_root_system, quiver_window
+from homquiver import (
+    arrows_from,
+    build_geometry,
+    build_root_system,
+    dominantize,
+    quiver_window,
+)
 from homquiver.levi import arrow_multiplicity, freudenthal, levi_weyl_dim
 from homquiver.quiver import DERIVED, GENERATING
 
 from .oracles import (
     arrow_multiplicity_oracle,
+    dominantize_oracle,
     freudenthal_oracle,
     quiver_window_oracle,
+    quiver_window_two_pass,
     root_from_fund_oracle,
     weight_inner_oracle,
 )
@@ -215,3 +223,33 @@ def test_quiver_window_matches_reference(name, levi):
         assert window.vertices == vertices
         assert tuple((a.source, a.root, a.target, a.kind) for a in window.arrows) == arrows
 
+
+
+@pytest.mark.parametrize("name,levi", [
+    (name, levi) for name in ("A3", "D4", "E6") for levi in _all_levis(int(name[1:]))
+])
+def test_quiver_window_matches_two_pass_reference(name, levi):
+    geom = build_geometry(name, levi)
+    rank = geom.root_system.rank
+    rng = random.Random(f"two-pass:{name}:{levi}")
+    center = tuple(rng.randint(0, 1) if i + 1 in levi else rng.randint(-2, 2)
+                   for i in range(rank))
+    for radius in range(4):
+        window = quiver_window(geom, center, radius)
+        assert (window.vertices, window.arrows) == quiver_window_two_pass(geom, center, radius)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_dominantize_matches_per_root_reference(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    rng = random.Random(f"dominantize:{name}")
+    verdicts = set()
+    for _ in range(200):
+        v = tuple(rng.randint(-4, 4) for _ in range(n))
+        sub = rng.sample(range(1, n + 1), rng.randint(0, n))
+        for indices in (None, sub):
+            got = dominantize(rs, v, indices)
+            assert got == dominantize_oracle(rs, v, indices), (v, indices)
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
