@@ -8,17 +8,19 @@ coming from bundles, and the non-generating ("derived") arrow matrices
 are determined by the generating ones: ``solve_derived_arrows`` performs
 that completion or reports the violated instances.
 
-Whether the relations hold is decided by Serre's theorem (Humphreys,
-*Introduction to Lie Algebras and Representation Theory*, 18.1-18.3; the
-``quiver`` module docstring has the proof sketch): ``relations_hold``
-checks the Serre relations on the simple arrows, and that completing the
-simple arrows by their brackets (``_complete``, also the solver's core)
-gives back every arrow.  ``check_relations``, the relation check of the
-gate ``require_valid``, decides with it and lists the violated instances
-only for a rejected representation.  All three work from the arrows the
-representation has: a relation can fail at lam only where one of its
-paths leaves lam, so each visits only such vertices, and each evaluates
-a relation as a linear combination of arrow paths (``_combination``).
+The engine has one relation, the bracket [f_beta, f_gamma] of two arrow
+directions at a vertex (``_bracket``).  Whether the relations hold is
+decided by Serre's theorem (Humphreys, *Introduction to Lie Algebras and
+Representation Theory*, 18.1-18.3; the ``quiver`` module docstring has
+the proof sketch): ``_complete``, also the solver's core, completes the
+simple arrows by their brackets and checks that the Serre brackets
+vanish on the completion, and ``relations_hold`` accepts when they do
+and the completion gives back every arrow.  ``check_relations``, the
+relation check of the gate ``require_valid``, decides with it and lists
+the violated instances, each a bracket against its direct arrow, only
+for a rejected representation.  All three work from the arrows the
+representation has: a bracket at lam is nonzero only where a 2-path
+leaves lam, so each visits only such vertices.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 from .geometry import ParabolicGeometry, build_geometry
 from .linalg import Matrix, row_basis
-from .quiver import RelationInstance, first_decompositions, serre_relations
+from .quiver import RelationInstance, first_decompositions, serre_brackets
 from .rootsystem import Root, Weight
 
 
@@ -139,21 +141,16 @@ def validate(rep: QuiverRep) -> list:
     return errors
 
 
-def _combination(rep: QuiverRep, lam: Weight, terms) -> Matrix | None:
-    """The map from lam given by a linear combination of arrow paths: the
-    sum of coef * (composition along path) over the (coef, path) terms,
-    paths as in ``QuiverRep.walk``, or None when it is zero.  A relation
-    (the ``quiver.serre_relations`` format) holds at lam when it is None.
-    """
-    total = None
-    for coef, path in terms:
-        mat = rep.walk(lam, path)
-        if mat is None:
-            continue
-        if coef != 1:
-            mat = mat.scale(coef)
-        total = mat if total is None else total + mat
-    return None if total is None or total.is_zero() else total
+def _bracket(rep: QuiverRep, lam: Weight, beta: Root, gamma: Root) -> Matrix | None:
+    """The bracket [f_beta, f_gamma] at lam, walk(lam, (gamma, beta)) -
+    walk(lam, (beta, gamma)), or None when it is zero; [f_gamma, f_beta]
+    is its negative.  A product of nonzero arrows can be zero, so the
+    result is tested whichever paths exist."""
+    mat = rep.walk(lam, (gamma, beta))
+    other = rep.walk(lam, (beta, gamma))
+    if other is not None:
+        mat = other.scale(-1) if mat is None else mat - other
+    return None if mat is None or mat.is_zero() else mat
 
 
 def _group(pairs) -> dict:
@@ -164,29 +161,24 @@ def _group(pairs) -> dict:
     return out
 
 
-def _serre_vanish(rep: QuiverRep) -> bool:
-    """Whether each Serre relation vanishes at every vertex whose end lies
-    in the support.  A relation can fail at lam only if one of its paths
-    leaves lam, so it is evaluated only at the sources of the arrows in
-    the first root of one of its paths."""
-    relations = serre_relations(rep.geometry.root_system)
-    by_first = _group((path[0], k) for k, (_, terms) in enumerate(relations) for _, path in terms)
-    pending = {(lam, k) for lam, root in rep.arrows for k in by_first.get(root, ())}
-    for lam, k in pending:
-        shift, terms = relations[k]
-        # Most relations end off the support, where no path runs: it prunes most walks.
-        if _sub(lam, shift) in rep.support and _combination(rep, lam, terms) is not None:
-            return False
-    return True
+def _starts(arrows: dict, sources: dict, beta: Root, gamma: Root) -> set:
+    """The sources of a 2-path beta,gamma or gamma,beta among the arrows,
+    ``sources`` listing each root's: the only vertices where [f_beta,
+    f_gamma] can be nonzero."""
+    return {
+        lam
+        for first, second in ((beta, gamma), (gamma, beta))
+        for lam in sources.get(first, ())
+        if (_sub(lam, first.fund), second) in arrows
+    }
 
 
-def _complete(rep: QuiverRep) -> QuiverRep:
-    """rep's simple arrows and, by increasing height, each derived arrow
-    f_delta = (1/N)[f_beta, f_gamma] on the first decomposition of delta.
-
-    The bracket at lam is nonzero only where a 2-path beta,gamma or
-    gamma,beta leaves lam, so only those sources are visited, in sorted
-    order.
+def _complete(rep: QuiverRep) -> tuple:
+    """(work, serre): work is rep's simple arrows and, by increasing
+    height, each derived arrow f_delta = N[f_beta, f_gamma] on the first
+    decomposition of delta, visiting the 2-path sources in sorted order;
+    serre is whether every Serre bracket (``quiver.serre_brackets``)
+    vanishes on work at its 2-path sources.
     """
     rs = rep.geometry.root_system
     simples = set(rs.positive_roots[: rs.rank])
@@ -194,34 +186,37 @@ def _complete(rep: QuiverRep) -> QuiverRep:
     work = QuiverRep(rep.geometry, rep.support, arrows)
     sources = _group((root, lam) for lam, root in work.arrows)
     for delta, (beta, gamma, n) in first_decompositions(rs).items():
-        starts = {
-            lam
-            for first, second in ((beta, gamma), (gamma, beta))
-            for lam in sources.get(first, ())
-            if (_sub(lam, first.fund), second) in work.arrows
-        }
         # N = chevalley(-beta, -gamma) is +-1 since beta + gamma is a root,
-        # so 1/N = N and the bracket carries N as its coefficients.
-        bracket = ((n, (gamma, beta)), (-n, (beta, gamma)))
-        for lam in sorted(starts):
-            mat = _combination(work, lam, bracket)
+        # so N[f_beta, f_gamma] is [f_gamma, f_beta] when N = -1.
+        if n < 0:
+            beta, gamma = gamma, beta
+        for lam in sorted(_starts(work.arrows, sources, beta, gamma)):
+            mat = _bracket(work, lam, beta, gamma)
             if mat is not None:
                 work.arrows[(lam, delta)] = mat
                 sources.setdefault(delta, []).append(lam)
-    return work
+    serre = all(
+        _bracket(work, lam, beta, gamma) is None
+        for beta, gamma in serre_brackets(rs)
+        for lam in _starts(work.arrows, sources, beta, gamma)
+    )
+    return work, serre
 
 
 def relations_hold(rep: QuiverRep) -> bool:
     """Whether a structurally valid Borel representation satisfies every
-    relation instance: the Serre relations on the simple arrows, and each
-    non-simple arrow equal to its bracket on the first decomposition.
+    relation instance: the Serre brackets vanish, and each non-simple arrow
+    equals its bracket on the first decomposition.
 
-    The second part is ``_complete(rep).arrows == rep.arrows``: by
-    induction on height, as ``Matrix`` is canonical and no arrow is zero.
+    Both come from ``_complete(rep)``.  The Serre brackets read only the
+    simple arrows and the support, which rep shares with its completion.
+    The second part is ``work.arrows == rep.arrows``: by induction on
+    height, as ``Matrix`` is canonical and no arrow is zero.
     """
     if not rep.geometry.is_borel:
         raise ValueError("relations are only known for the Borel parabolic")
-    return _serre_vanish(rep) and _complete(rep).arrows == rep.arrows
+    work, serre = _complete(rep)
+    return serre and work.arrows == rep.arrows
 
 
 def _decompositions(rs, index: dict, delta: Root) -> list:
@@ -239,9 +234,10 @@ def _violated_instances(rep: QuiverRep) -> list:
     arrows are in positive directions, by source and then by the (i, j)
     positions of the root pair in ``positive_roots``.
 
-    An instance at lam for beta, gamma reads (path gamma then beta) -
-    (path beta then gamma) = N(-beta,-gamma) * (direct arrow for delta =
-    beta+gamma), maps from lam to its end.  It is a sum of zero maps unless
+    An instance at lam for beta, gamma reads [f_beta, f_gamma] =
+    N(-beta,-gamma) f_delta, delta = beta + gamma, maps from lam to its
+    end; it is checked as [f_gamma, f_beta] = f_delta when N = -1, so each
+    side is a canonical ``Matrix`` or None.  Both sides are zero unless
     one of its paths exists, so the candidates at lam are the pairs of the
     2-paths leaving lam and the decompositions of the arrows leaving it.
     """
@@ -251,7 +247,7 @@ def _violated_instances(rep: QuiverRep) -> list:
     out_roots = _group(rep.arrows)
     roots = {root for _, root in rep.arrows}
     decompositions = {root: _decompositions(rs, index, root) for root in roots}
-    relation = {}  # (i, j) -> (N, terms), built once per pair
+    relation = {}  # (i, j) -> (N, delta), built once per pair
     violated = []
     for lam in sorted(rep.support):
         pairs = set()
@@ -264,13 +260,11 @@ def _violated_instances(rep: QuiverRep) -> list:
             beta, gamma = pos[i], pos[j]
             if (i, j) not in relation:
                 n = rs.chevalley(-beta, -gamma)
-                terms = ((1, (gamma, beta)), (-1, (beta, gamma)))
-                if n:
-                    delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple)))
-                    terms += ((-n, (delta,)),)
-                relation[i, j] = (n, terms)
-            n, terms = relation[i, j]
-            if _combination(rep, lam, terms) is not None:
+                delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple))) if n else None
+                relation[i, j] = (n, delta)
+            n, delta = relation[i, j]
+            bracket = _bracket(rep, lam, gamma, beta) if n < 0 else _bracket(rep, lam, beta, gamma)
+            if bracket != rep.arrows.get((lam, delta)):
                 violated.append(RelationInstance(lam, beta, gamma, n))
     return violated
 
@@ -332,8 +326,8 @@ def solve_derived_arrows(rep: QuiverRep) -> QuiverRep:
     require_structure(rep)
     if not rep.geometry.is_borel:
         raise ValueError("solve_derived_arrows needs the Borel parabolic")
-    work = _complete(rep)
-    if not _serre_vanish(work):
+    work, serre = _complete(rep)
+    if not serre:
         raise RelationError(_rejected_instances(work))
     return work
 

@@ -24,17 +24,20 @@ Deciding whether every instance holds needs far fewer equations, by
 Serre's theorem (Humphreys, *Introduction to Lie Algebras and
 Representation Theory*, 18.1-18.3): n^- is generated by the e_-alpha_i
 subject only to [e_-i, e_-j] = 0 for non-adjacent i, j and
-ad(e_-i)^2 e_-j = 0 for adjacent i, j.  Proof sketch: if the simple
-arrows f_i satisfy these (``serre_relations``), there is a Lie algebra
-map phi from n^- with phi(e_-alpha_i) = f_i.  If moreover each
-non-simple arrow equals f_delta = (1/N)[f_beta, f_gamma] for one
-decomposition delta = beta + gamma, N = N(-beta, -gamma)
-(``first_decompositions``), then by induction on the height of delta,
-f_delta = (1/N)[phi(e_-beta), phi(e_-gamma)] = phi(e_-delta).  So the
-arrows are the image of n^- under phi, and every bracket relation holds
-because it holds in n^-.  Conversely the Serre relations and these
-brackets are consequences of the instances, so the two conditions hold
-exactly when every instance does.
+ad(e_-i)^2 e_-j = 0 for adjacent i, j.  Proof sketch: complete the simple
+arrows f_i by brackets, f_delta = N[f_beta, f_gamma] by increasing height
+for one decomposition delta = beta + gamma, N = N(-beta, -gamma) = +-1
+(``first_decompositions``).  Then f_(alpha_i+alpha_j) = +-[f_i, f_j] for
+adjacent i, j, so ad(f_i)^2 f_j = +-[f_i, f_(alpha_i+alpha_j)], and the
+Serre relations say that the brackets of ``serre_brackets`` vanish.  If
+they do, there is a Lie algebra map phi from n^- with phi(e_-alpha_i) =
+f_i, and by induction on the height of delta, f_delta = N[phi(e_-beta),
+phi(e_-gamma)] = phi(e_-delta).  So the completed arrows are the image
+of n^- under phi, and every bracket relation holds on them because it
+holds in n^-.  A representation whose non-simple arrows are these
+brackets therefore satisfies every instance; conversely the Serre
+relations and these brackets are consequences of the instances, so the
+two conditions hold exactly when every instance does.
 """
 
 from __future__ import annotations
@@ -184,31 +187,27 @@ def first_decompositions(rs: RootSystem) -> dict:
     delta = beta + gamma is the first decomposition in root-pair order:
     beta is the earliest positive root with delta - beta one (were gamma
     earlier, it would be that root).  Some simple root is such a beta, and
-    the simple roots come first, so only they are scanned.  Keys come in
-    root order, by increasing height.  Cached; callers must not mutate.
+    the simple roots come first, as alpha_n ... alpha_1.  In type ADE
+    delta - alpha_i is a root exactly when (delta, alpha_i) = delta.fund[i]
+    is 1, so beta is alpha_i for the last such i.  Keys come in root order,
+    by increasing height.  Cached; callers must not mutate.
     """
     out = {}
     for delta in rs.positive_roots[rs.rank:]:
-        for beta in rs.positive_roots[: rs.rank]:
-            gamma = rs.root(tuple(d - b for d, b in zip(delta.simple, beta.simple)))
-            if gamma is not None and gamma.is_positive:
-                out[delta] = (beta, gamma, rs.chevalley(-beta, -gamma))
-                break
+        i = rs.rank - 1 - delta.fund[::-1].index(1)
+        gamma = list(delta.simple)
+        gamma[i] -= 1
+        beta, gamma = rs.simple_root(i + 1), rs.root(tuple(gamma))
+        out[delta] = (beta, gamma, rs.chevalley(-beta, -gamma))
     return out
 
 
-# A relation is (shift, terms): at a vertex lam whose end lam - shift lies
-# in the support, the sum of coef * (composition of arrows from lam along
-# path) over the (coef, path) terms vanishes.  Paths list roots in the
-# order the arrows are applied.
-
-
 @lru_cache(maxsize=None)
-def serre_relations(rs: RootSystem) -> tuple:
-    """The Serre relations of n^- on the simple arrows f_i.
-
-    [f_i, f_j] = 0 for non-adjacent i < j, and for adjacent i, j (each
-    order) f_i f_i f_j - 2 f_i f_j f_i + f_j f_i f_i = 0.
+def serre_brackets(rs: RootSystem) -> tuple:
+    """The Serre relations of n^- as (beta, gamma) pairs whose bracket
+    [f_beta, f_gamma] vanishes on the completed arrows (see the module
+    docstring): (f_i, f_j) for non-adjacent i < j, and (f_i,
+    f_(alpha_i+alpha_j)) for adjacent i, j in each order.
     """
     simple = [rs.simple_root(i + 1) for i in range(rs.rank)]
     out = []
@@ -217,9 +216,7 @@ def serre_relations(rs: RootSystem) -> tuple:
             if i == j:
                 continue
             if rs.cartan_matrix[i][j]:
-                shift = tuple(2 * x + y for x, y in zip(a.fund, b.fund))
-                out.append((shift, ((1, (b, a, a)), (-2, (a, b, a)), (1, (a, a, b)))))
+                out.append((a, rs.root(tuple(x + y for x, y in zip(a.simple, b.simple)))))
             elif i < j:
-                shift = tuple(x + y for x, y in zip(a.fund, b.fund))
-                out.append((shift, ((1, (a, b)), (-1, (b, a)))))
+                out.append((a, b))
     return tuple(out)

@@ -186,17 +186,6 @@ class RootSystem:
 
     # ----- invariant form ---------------------------------------------------
 
-    def inner(self, x, y: Root) -> int:
-        """Killing-normalized product (x, y) of a weight or root with a root.
-
-        For ADE this equals the coroot pairing <x, y^v>; with x given in
-        fundamental coordinates it is a plain coordinate contraction.
-        """
-        xf = x.fund if isinstance(x, Root) else tuple(x)
-        if len(xf) != self.rank:
-            raise ValueError("rank mismatch")
-        return sum(a * b for a, b in zip(xf, y.simple))
-
     def scaled_inner(self, x: Weight, y: Weight) -> int:
         """gram_scale * (x, y) for two weights in fundamental coordinates."""
         return sum(

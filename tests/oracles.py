@@ -19,6 +19,7 @@ from homquiver import (
     irreducible,
 )
 from homquiver.linalg import Matrix
+from homquiver.rootsystem import Root
 
 
 # ----- Helpers used only by the tests -------------------------------------
@@ -56,9 +57,21 @@ def transpose(mat):
     )
 
 
+def root_inner(rs, x, y):
+    """Killing-normalized product (x, y) of a weight or root with a root.
+
+    For ADE this equals the coroot pairing <x, y^v>; with x given in
+    fundamental coordinates it is a plain coordinate contraction.
+    """
+    xf = x.fund if isinstance(x, Root) else tuple(x)
+    if len(xf) != rs.rank:
+        raise ValueError("rank mismatch")
+    return sum(a * b for a, b in zip(xf, y.simple))
+
+
 def reflect(rs, lam, alpha):
     """Reflection of the weight lam in the hyperplane orthogonal to the root alpha."""
-    c = rs.inner(lam, alpha)
+    c = root_inner(rs, lam, alpha)
     return tuple(x - c * a for x, a in zip(lam, alpha.fund))
 
 
@@ -513,7 +526,7 @@ def freudenthal_oracle(geom, lam):
                 for k in range(1, depth // alpha.height + 1):
                     up = tuple(a + k * b for a, b in zip(mu, alpha.fund))
                     if up in mult:
-                        num += mult[up] * rs.inner(up, alpha)
+                        num += mult[up] * root_inner(rs, up, alpha)
             mu_shift = tuple(a + b for a, b in zip(mu, rho_l))
             den = top_norm - weight_inner_oracle(rs, mu_shift, mu_shift)
             if den <= 0:
@@ -724,6 +737,50 @@ def relation_table(rs):
                 table[key] = (rs.root(total), [])
             table[key][1].append((i, j, beta, gamma, rs.chevalley(-beta, -gamma)))
     return {key: (delta, tuple(entries)) for key, (delta, entries) in table.items()}
+
+
+@lru_cache(maxsize=None)
+def serre_relations(rs):
+    """The Serre relations of n^- on the simple arrows f_i, written out as
+    path polynomials of degree two and three.
+
+    A relation is (shift, terms): at a vertex lam whose end lam - shift
+    lies in the support, the sum of coef * (composition of the arrows from
+    lam along path) over the (coef, path) terms vanishes; paths list roots
+    in the order the arrows are applied.  [f_i, f_j] = 0 for non-adjacent
+    i < j, and for adjacent i, j (each order) f_i f_i f_j - 2 f_i f_j f_i
+    + f_j f_i f_i = 0.
+    """
+    simple = [rs.simple_root(i + 1) for i in range(rs.rank)]
+    out = []
+    for i, a in enumerate(simple):
+        for j, b in enumerate(simple):
+            if i == j:
+                continue
+            if rs.cartan_matrix[i][j]:
+                shift = tuple(2 * x + y for x, y in zip(a.fund, b.fund))
+                out.append((shift, ((1, (b, a, a)), (-2, (a, b, a)), (1, (a, a, b)))))
+            elif i < j:
+                shift = tuple(x + y for x, y in zip(a.fund, b.fund))
+                out.append((shift, ((1, (a, b)), (-1, (b, a)))))
+    return tuple(out)
+
+
+def serre_relations_hold(rep):
+    """Whether every relation of ``serre_relations`` vanishes at every
+    support vertex whose end lies in the support, each path composed by
+    ``path_matrix``."""
+    for shift, terms in serre_relations(rep.geometry.root_system):
+        for lam in rep.support:
+            end = tuple(a - b for a, b in zip(lam, shift))
+            if end not in rep.support:
+                continue
+            total = Matrix.zeros(rep.dim(end), rep.dim(lam))
+            for coef, path in terms:
+                total = total + path_matrix(rep, lam, path).scale(coef)
+            if not total.is_zero():
+                return False
+    return True
 
 
 def support_relation_instances(geom, support):

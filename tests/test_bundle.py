@@ -160,17 +160,18 @@ def scaled_tangent_generators(name):
 
 @pytest.mark.parametrize("case", ["rep_l", "A3", "D4"])
 def test_rejected_solve_runs_the_serre_check_once(a2, case, monkeypatch):
-    # The solver's Serre check has already rejected the completion, so the
-    # listing must not decide again; it lists what check_relations lists
-    # for the completion, which is the dense check's list.
+    # The completion's Serre verdict has already rejected it, so the
+    # listing must not complete or decide again; it lists what
+    # check_relations lists for the completion, which is the dense check's.
     rep = rep_l(a2, 1) if case == "rep_l" else scaled_tangent_generators(case)
-    work = bundle_mod._complete(rep)
+    work, serre = bundle_mod._complete(rep)
+    assert not serre
     expected = check_relations(work)
     assert expected and expected == dense_check(work)
     calls = []
-    serre_vanish = bundle_mod._serre_vanish
+    complete = bundle_mod._complete
     monkeypatch.setattr(
-        bundle_mod, "_serre_vanish", lambda rep_: calls.append(rep_) or serre_vanish(rep_)
+        bundle_mod, "_complete", lambda rep_: calls.append(rep_) or complete(rep_)
     )
     with pytest.raises(RelationError) as exc:
         solve_derived_arrows(rep)

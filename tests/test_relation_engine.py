@@ -64,27 +64,24 @@ def sparse_order(geom, support):
 
 def checked_order(rep, monkeypatch):
     """The instances the full enumeration behind check_relations evaluates,
-    in order, read back from the path combinations it hands to
-    ``_combination`` (a zero coefficient drops the third term); every
-    path of an instance must end at the instance's end."""
+    in order, read back from the brackets it hands to ``_bracket``: the
+    pair in ``positive_roots`` order, swapped exactly when its Chevalley
+    coefficient is -1."""
+    rs = rep.geometry.root_system
+    index = {root: k for k, root in enumerate(rs.positive_roots)}
     seen = []
-    original = bundle_mod._combination
+    original = bundle_mod._bracket
 
-    def recording(rep_, lam, terms):
-        (_, (gamma, beta)), _, *rest = terms
-        coefficient = -rest[0][0] if rest else 0
-        inst = RelationInstance(lam, beta, gamma, coefficient)
-        for _, path in terms:
-            end = lam
-            for root in path:
-                end = tuple(a - b for a, b in zip(end, root.fund))
-            assert end == _end(inst)
-        seen.append(inst)
-        return original(rep_, lam, terms)
+    def recording(rep_, lam, first, second):
+        beta, gamma = sorted((first, second), key=index.get)
+        coefficient = rs.chevalley(-beta, -gamma)
+        assert (first, second) == ((gamma, beta) if coefficient < 0 else (beta, gamma))
+        seen.append(RelationInstance(lam, beta, gamma, coefficient))
+        return original(rep_, lam, first, second)
 
-    monkeypatch.setattr(bundle_mod, "_combination", recording)
+    monkeypatch.setattr(bundle_mod, "_bracket", recording)
     violated = bundle_mod._violated_instances(rep)
-    monkeypatch.setattr(bundle_mod, "_combination", original)
+    monkeypatch.setattr(bundle_mod, "_bracket", original)
     return seen, violated
 
 

@@ -1,10 +1,12 @@
 """The Serre decision ``relations_hold`` against the full instance enumeration.
 
-``relations_hold`` checks the Serre relations on the simple arrows and one
-bracket per non-simple arrow; ``bundle._violated_instances`` enumerates
-every relation instance, and ``check_relations``, the relation check of the
-validation gate ``require_valid``, decides first and enumerates only once
-the decision fails.  On a structurally valid Borel
+``relations_hold`` reads the completion ``bundle._complete``: its verdict
+that the Serre brackets vanish, which must equal that of the Serre
+relations written out as path polynomials (``oracles.serre_relations``),
+and one bracket per non-simple arrow.  ``bundle._violated_instances``
+enumerates every relation instance, and ``check_relations``, the relation
+check of the validation gate ``require_valid``, decides first and
+enumerates only once the decision fails.  On a structurally valid Borel
 representation they must agree: the decision passes exactly when the
 enumeration finds no violated instance.  The representations below are
 fixtures, tangent and cotangent bundles with seeded perturbations, and
@@ -38,9 +40,16 @@ from homquiver import (
 from homquiver import bundle as bundle_mod
 from homquiver.bundle import relations_hold, require_valid
 from homquiver.linalg import Matrix
-from homquiver.quiver import first_decompositions, serre_relations
+from homquiver.quiver import first_decompositions
 
-from .oracles import conjugate, path_matrix, random_invertible, relation_table
+from .oracles import (
+    conjugate,
+    path_matrix,
+    random_invertible,
+    relation_table,
+    serre_relations,
+    serre_relations_hold,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 VIOLATED_FIXTURES = {"B_s0", "B_s1", "B_s3", "L_ell1"}
@@ -51,8 +60,11 @@ TABLE_TYPES = tuple(f"A{n}" for n in range(1, 9)) + tuple(
 
 
 def agree(rep) -> bool:
-    """Assert the decision equals the enumeration's verdict; return it."""
+    """Assert the decision equals the enumeration's verdict, and the
+    completion's Serre verdict that of the path polynomials; return the
+    decision."""
     assert validate(rep) == []
+    assert bundle_mod._complete(rep)[1] == serre_relations_hold(rep)
     violated = bundle_mod._violated_instances(rep)
     holds = violated == []
     assert relations_hold(rep) == holds
@@ -243,7 +255,7 @@ def test_each_serre_path_alone_is_rejected(type_name):
                 arrows[(cur, root)] = Matrix([[1]])
                 cur = _target(cur, root)
                 support[cur] = 1
-            rep = bundle_mod._complete(QuiverRep(g, support, arrows))
+            rep = bundle_mod._complete(QuiverRep(g, support, arrows))[0]
             assert not relations_hold(rep)
             assert not agree(rep)
             checked += 1
