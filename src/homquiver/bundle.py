@@ -247,7 +247,7 @@ def _violated_instances(rep: QuiverRep) -> list:
     out_roots = _group(rep.arrows)
     roots = {root for _, root in rep.arrows}
     decompositions = {root: _decompositions(rs, index, root) for root in roots}
-    relation = {}  # (i, j) -> (N, delta), built once per pair
+    relation = {}  # (i, j) -> (N, delta, the bracket pair), built once per pair
     violated = []
     for lam in sorted(rep.support):
         pairs = set()
@@ -261,10 +261,9 @@ def _violated_instances(rep: QuiverRep) -> list:
             if (i, j) not in relation:
                 n = rs.chevalley(-beta, -gamma)
                 delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple))) if n else None
-                relation[i, j] = (n, delta)
-            n, delta = relation[i, j]
-            bracket = _bracket(rep, lam, gamma, beta) if n < 0 else _bracket(rep, lam, beta, gamma)
-            if bracket != rep.arrows.get((lam, delta)):
+                relation[i, j] = (n, delta, (gamma, beta) if n < 0 else (beta, gamma))
+            n, delta, pair = relation[i, j]
+            if _bracket(rep, lam, *pair) != rep.arrows.get((lam, delta)):
                 violated.append(RelationInstance(lam, beta, gamma, n))
     return violated
 

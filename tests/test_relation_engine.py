@@ -66,22 +66,49 @@ def checked_order(rep, monkeypatch):
     """The instances the full enumeration behind check_relations evaluates,
     in order, read back from the brackets it hands to ``_bracket``: the
     pair in ``positive_roots`` order, swapped exactly when its Chevalley
-    coefficient is -1."""
+    coefficient is -1.  Both paths of a bracket, and the direct arrow the
+    listing looks up after it, must end at the instance's end."""
     rs = rep.geometry.root_system
     index = {root: k for k, root in enumerate(rs.positive_roots)}
-    seen = []
-    original = bundle_mod._bracket
+    seen, direct, inside = [], [], []
+    original, arrows = bundle_mod._bracket, rep.arrows
+
+    class Lookups(dict):
+        """rep.arrows, recording each lookup made outside ``_bracket``."""
+
+        def get(self, key, default=None):
+            if not inside:
+                direct.append((seen[-1], key))
+            return dict.get(self, key, default)
 
     def recording(rep_, lam, first, second):
         beta, gamma = sorted((first, second), key=index.get)
         coefficient = rs.chevalley(-beta, -gamma)
         assert (first, second) == ((gamma, beta) if coefficient < 0 else (beta, gamma))
-        seen.append(RelationInstance(lam, beta, gamma, coefficient))
-        return original(rep_, lam, first, second)
+        inst = RelationInstance(lam, beta, gamma, coefficient)
+        for path in ((first, second), (second, first)):
+            end = lam
+            for root in path:
+                end = tuple(a - b for a, b in zip(end, root.fund))
+            assert end == _end(inst)
+        seen.append(inst)
+        inside.append(True)
+        try:
+            return original(rep_, lam, first, second)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(bundle_mod, "_bracket", recording)
+    monkeypatch.setattr(rep, "arrows", Lookups(arrows))
     violated = bundle_mod._violated_instances(rep)
     monkeypatch.setattr(bundle_mod, "_bracket", original)
+    monkeypatch.setattr(rep, "arrows", arrows)
+    assert [inst for inst, _ in direct] == seen  # one lookup per bracket
+    for inst, (lam, delta) in direct:
+        assert lam == inst.source
+        assert (delta is None) == (inst.coefficient == 0)
+        if delta is not None:
+            assert tuple(a - b for a, b in zip(lam, delta.fund)) == _end(inst)
     return seen, violated
 
 
