@@ -47,12 +47,10 @@ def _pairing_table(rs: RootSystem, indices: frozenset) -> tuple:
     """``(simples, steps)`` for the roots of ``sub_positive_roots(rs, indices)``.
 
     The simple roots come first: ``simples`` holds their 0-based indices.
-    Each later root delta has some i with (delta, alpha_i) = 1, since
-    (delta, delta) = 2 and in type ADE no pairing of delta with another
-    root exceeds 1.  Then gamma = delta - alpha_i is a root, positive as
-    delta is not simple, with support inside delta's and a smaller
-    height, so it comes earlier in the same list.  ``steps`` holds
-    (position of gamma, i) for each such delta, in order.
+    Each later root delta is its parent beta plus a simple alpha_i, as
+    the closure recorded in ``rs.parent``; beta comes earlier in the same
+    list.  ``steps`` holds (position of beta, i) for each such delta, in
+    order.
     """
     pos = sub_positive_roots(rs, indices)
     where = {r: k for k, r in enumerate(pos)}
@@ -61,16 +59,14 @@ def _pairing_table(rs: RootSystem, indices: frozenset) -> tuple:
         if delta.height == 1:
             simples.append(delta.simple.index(1))
         else:
-            i = delta.fund.index(1)
-            gamma = list(delta.simple)
-            gamma[i] -= 1
-            steps.append((where[rs.root(gamma)], i))
+            beta, i = rs.parent[delta]
+            steps.append((where[beta], i))
     return tuple(simples), tuple(steps)
 
 
 def root_pairings(rs: RootSystem, v: Weight, indices: frozenset) -> list:
     """(v, alpha) for each root alpha of ``sub_positive_roots(rs, indices)``,
-    in order, by one addition per root: (v, gamma + alpha_i) = (v, gamma) + v_i."""
+    in order, by one addition per root: (v, beta + alpha_i) = (v, beta) + v_i."""
     simples, steps = _pairing_table(rs, indices)
     out = [v[i] for i in simples]
     for k, i in steps:

@@ -250,7 +250,7 @@ def main(argv=None, out=None) -> int:
         doc, lines = args.run(args)
         print(json.dumps(doc) if args.json else "\n".join(lines), file=out)
         return 0
-    except (_UsageError, BundleFormatError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, BundleFormatError, OSError) as exc:
         _print_error(exc)
         return USAGE_ERROR
     except RelationError as exc:

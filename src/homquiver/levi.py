@@ -102,7 +102,6 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
     return tuple(sorted(weights.items()))
 
 
-@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def levi_weyl_dim(geom: ParabolicGeometry, lam: Weight) -> int:
     """Weyl dimension formula over the Levi positive roots.
 

@@ -187,17 +187,15 @@ def first_decompositions(rs: RootSystem) -> dict:
     delta = beta + gamma is the first decomposition in root-pair order:
     beta is the earliest positive root with delta - beta one (were gamma
     earlier, it would be that root).  Some simple root is such a beta, and
-    the simple roots come first, as alpha_n ... alpha_1.  In type ADE
-    delta - alpha_i is a root exactly when (delta, alpha_i) = delta.fund[i]
-    is 1, so beta is alpha_i for the last such i.  Keys come in root order,
-    by increasing height.  Cached; callers must not mutate.
+    the simple roots come first, as alpha_n ... alpha_1, so beta is
+    alpha_(i+1) for the last i with delta - alpha_(i+1) a root: the
+    decomposition ``rs.parent`` records as (gamma, i).  Keys come in root
+    order, by increasing height.  Cached; callers must not mutate.
     """
     out = {}
     for delta in rs.positive_roots[rs.rank:]:
-        i = rs.rank - 1 - delta.fund[::-1].index(1)
-        gamma = list(delta.simple)
-        gamma[i] -= 1
-        beta, gamma = rs.simple_root(i + 1), rs.root(tuple(gamma))
+        gamma, i = rs.parent[delta]
+        beta = rs.simple_root(i + 1)
         out[delta] = (beta, gamma, rs.chevalley(-beta, -gamma))
     return out
 

@@ -112,7 +112,7 @@ class RootSystem:
         self.gram_scale = inv.den
         self.gram = inv.num
         self.rho: Weight = (1,) * self.rank
-        self.positive_roots = self._close_positive_roots()
+        self.positive_roots, self.parent = self._close_positive_roots()
         self._roots_by_simple = {}
         self._roots_by_fund = {}
         for r in self.positive_roots:
@@ -130,35 +130,38 @@ class RootSystem:
         return f"RootSystem({self.cartan_type})"
 
     def _close_positive_roots(self) -> tuple:
-        """Height-by-height closure from the simple roots.
+        """``(roots, parent)``: the positive roots, sorted by height and
+        simple coordinates, and the decomposition of each non-simple one.
 
-        For distinct positive roots in the ADE case, beta + alpha_i is a
-        root exactly when (beta, alpha_i) = -1.  Fundamental coordinates
-        add along with simple ones, and a simple root's are its Cartan
-        row, so each new root costs O(rank).
+        In type ADE no pairing of a root with another exceeds 1, and
+        (delta, delta) = 2 is the sum of delta.simple[i] * (delta, alpha_i),
+        so a non-simple positive root delta pairs to 1 with some alpha_i,
+        and beta = delta - alpha_i is a positive root with (beta, alpha_i)
+        = -1; conversely beta + alpha_i is a root whenever (beta, alpha_i)
+        = -1.  Each such i is in delta's support, as (delta, alpha_i) <= 0
+        off it.  The breadth-first closure keeps delta = beta + alpha_i only
+        for the last i with delta.fund[i] = 1, so it builds each root once,
+        and records ``parent[delta] = (beta, i)``, i 0-based: beta lies in
+        every sub-system that contains delta, and comes earlier in every
+        sorted root list.  Fundamental coordinates add along with simple
+        ones, and a simple root's are its Cartan row, so each new root
+        costs O(rank).
         """
         simples = [
             Root(tuple(int(i == j) for j in range(self.rank)), row)
             for i, row in enumerate(self.cartan_matrix)
         ]
-        levels = [list(simples)]
-        seen = {r.simple for r in simples}
-        while levels[-1]:
-            nxt = []
-            for beta in levels[-1]:
-                for i, alpha in enumerate(simples):
-                    if beta.fund[i] == -1:
-                        cand = tuple(
-                            b + a for b, a in zip(beta.simple, alpha.simple)
-                        )
-                        if cand not in seen:
-                            seen.add(cand)
-                            fund = tuple(b + a for b, a in zip(beta.fund, alpha.fund))
-                            nxt.append(Root(cand, fund))
-            levels.append(nxt)
-        roots = [r for level in levels for r in level]
+        roots, parent = list(simples), {}
+        for beta in roots:  # a queue: new roots join the end, by height
+            for i, alpha in enumerate(simples):
+                if beta.fund[i] == -1:
+                    fund = tuple(b + a for b, a in zip(beta.fund, alpha.fund))
+                    if 1 not in fund[i + 1:]:
+                        delta = Root(tuple(b + a for b, a in zip(beta.simple, alpha.simple)), fund)
+                        parent[delta] = (beta, i)
+                        roots.append(delta)
         roots.sort(key=lambda r: (r.height, r.simple))
-        return tuple(roots)
+        return tuple(roots), parent
 
     def simple_root(self, i: int) -> Root:
         """Simple root alpha_i, 1-based index."""

@@ -198,3 +198,27 @@ def test_asymmetry_product_rule():
 def test_large_type_counts():
     assert len(build_root_system("E7").positive_roots) == 63
     assert len(build_root_system("E8").positive_roots) == 120
+
+
+RECORD_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "A30", "D30"]
+)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_closure_records_each_root_once_by_its_last_simple_step(name):
+    # Each non-simple positive root delta is built once, as its parent
+    # beta plus alpha_i for the last i with (delta, alpha_i) = 1.
+    rs = build_root_system(name)
+    pos = rs.positive_roots
+    where = {r: k for k, r in enumerate(pos)}
+    assert len(where) == len(pos)
+    assert len(rs.parent) == len(pos) - rs.rank
+    assert set(rs.parent) == set(pos[rs.rank:])
+    for delta, (beta, i) in rs.parent.items():
+        alpha = rs.simple_root(i + 1)
+        assert tuple(b + a for b, a in zip(beta.simple, alpha.simple)) == delta.simple
+        assert tuple(b + a for b, a in zip(beta.fund, alpha.fund)) == delta.fund
+        assert beta.is_positive and where[beta] < where[delta]
+        assert delta.fund[i] == 1 and 1 not in delta.fund[i + 1:]
