@@ -356,16 +356,11 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
     geom = reps[0].geometry
     if any(r.geometry != geom for r in reps):
         raise ValueError("direct summands live on different geometries")
-    support = {}
+    support, offsets = {}, []
     for r in reps:
+        offsets.append(dict(support))
         for lam, d in r.support.items():
             support[lam] = support.get(lam, 0) + d
-    offsets = []
-    running = {}
-    for r in reps:
-        offsets.append(dict(running))
-        for lam, d in r.support.items():
-            running[lam] = running.get(lam, 0) + d
     arrows = {}
     keys = sorted({k for r in reps for k in r.arrows})
     for src, root in keys:

@@ -4,8 +4,9 @@ Graded cohomology is Bott's algorithm applied summand-wise.  Global
 sections of a general bundle come from the kernel of the block map that
 composes, for each dominant vertex and each simple direction off the
 Levi, the arrow matrices along the path to the reflected partner vertex.
-For chain-supported (A_m-type) bundles the same answer is cross-checked
-against the Gabriel interval decomposition.
+``h0_am`` is ``h0`` for chain-supported (A_m-type) bundles plus one
+cross-check: the same kernel dimensions scored against the Gabriel
+interval decomposition.
 """
 
 from __future__ import annotations
@@ -109,27 +110,24 @@ def compose_path(rep: QuiverRep, pairing: Pairing) -> Matrix | None:
     return rep.walk(pairing.source, repeat(alpha, pairing.k))
 
 
-def _section_multiplicities(rep: QuiverRep, pairings: tuple) -> dict:
-    """Kernel dimension of the stacked pairing maps at each dominant vertex,
-    given ``find_pairings(rep)``, which lists them by source.  A zero map
-    adds no rows, so a vertex with none keeps its full dimension."""
-    out = {lam: d for lam, d in sorted(rep.support.items()) if all(c >= 0 for c in lam)}
+def _sections(rep: QuiverRep) -> tuple:
+    """(pairings, multiplicities, decomposition) of the global sections.
+
+    After the validity gate, ``find_pairings(rep)`` lists the pairings by
+    source; the multiplicity at each dominant vertex, zeros included, is
+    the kernel dimension of its stacked pairing maps.  A zero map adds no
+    rows, so a vertex with none keeps its full dimension.  Off the Borel
+    parabolic no relation check exists (the general relation set is
+    unknown), so the caller vouches for validity, which the decomposition
+    records as a note.
+    """
+    require_valid(rep)
+    pairings = find_pairings(rep)
+    mults = {lam: d for lam, d in sorted(rep.support.items()) if all(c >= 0 for c in lam)}
     for lam, group in groupby(pairings, key=attrgetter("source")):
         blocks = [mat for mat in (compose_path(rep, p) for p in group) if mat is not None]
         if blocks:
-            out[lam] = reduce(Matrix.vstack, blocks).nullity()
-    return out
-
-
-def h0(rep: QuiverRep) -> GModuleDecomposition:
-    """Global sections of the bundle: the kernel of the pairing block map.
-
-    On the Borel parabolic the representation must satisfy the quiver
-    relations; for other parabolics no relation check exists (the general
-    relation set is unknown) and the caller vouches for validity, which
-    the result records as a note.
-    """
-    require_valid(rep)
+            mults[lam] = reduce(Matrix.vstack, blocks).nullity()
     notes = ()
     if not rep.geometry.is_borel:
         notes = (
@@ -137,28 +135,29 @@ def h0(rep: QuiverRep) -> GModuleDecomposition:
             "is the caller's claim",
         )
     rs = rep.geometry.root_system
-    acc = {
-        lam: (m, weyl_dim(rs, lam))
-        for lam, m in _section_multiplicities(rep, find_pairings(rep)).items()
-    }
-    return _decomposition(acc, notes)
+    acc = {lam: (m, weyl_dim(rs, lam)) for lam, m in mults.items()}
+    return pairings, mults, _decomposition(acc, notes)
+
+
+def h0(rep: QuiverRep) -> GModuleDecomposition:
+    """Global sections of the bundle: the kernel of the pairing block map,
+    with a note off the Borel parabolic, where validity goes unchecked."""
+    return _sections(rep)[2]
 
 
 def h0_am(rep: QuiverRep) -> GModuleDecomposition:
-    """Global sections of an A_m-type bundle, cross-checked against Gabriel.
+    """``h0`` of an A_m-type bundle, cross-checked against Gabriel.
 
-    The kernel computation restricted to the single chain must agree with
-    scoring the interval decomposition (an interval containing a dominant
+    The kernel dimensions must agree with scoring the interval
+    decomposition along the chain (an interval containing a dominant
     vertex contributes one copy unless it also contains the vertex's
     pairing partner); disagreement signals a bug, not a data problem.
+    The result, note included, is ``h0``'s.
     """
     path = is_am_type(rep)
     if path is None:
         raise ValueError("not an A_m-type support")
-    require_valid(rep)
-
-    pairings = find_pairings(rep)
-    mults = _section_multiplicities(rep, pairings)
+    pairings, mults, dec = _sections(rep)
 
     gab = _gabriel_along(rep, path)
     position = {v: i for i, v in enumerate(path.vertices)}
@@ -175,7 +174,4 @@ def h0_am(rep: QuiverRep) -> GModuleDecomposition:
                 f"Gabriel scoring ({score}) disagrees with kernel computation "
                 f"({m}) at {lam}"
             )
-
-    rs = rep.geometry.root_system
-    acc = {lam: (m, weyl_dim(rs, lam)) for lam, m in mults.items()}
-    return _decomposition(acc)
+    return dec

@@ -51,6 +51,7 @@ from .rootsystem import Root, RootSystem, Weight
 
 GENERATING = "generating"
 DERIVED = "derived"
+_MAX_WINDOW_VERTICES = 50_000  # larger windows are refused, not built
 
 
 class Arrow(NamedTuple):
@@ -124,8 +125,11 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
     closer than ``radius`` keeps all of them, and its new targets form the
     next layer; a vertex at distance ``radius`` keeps those whose targets
     are already vertices.  The pass stops at the first empty layer, so a
-    huge radius costs no more than the whole reachable quiver.  Arrows
-    come in sorted vertex order, each vertex's in root order.
+    huge radius costs no more than the whole reachable quiver, and it
+    raises ``ValueError`` as soon as the window would pass
+    ``_MAX_WINDOW_VERTICES`` vertices, which bounds the work when that
+    quiver is infinite.  Arrows come in sorted vertex order, each vertex's
+    in root order.
     """
     if not is_vertex(geom, center):
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
@@ -147,6 +151,10 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
                 if u is None:
                     if last:
                         continue
+                    if len(vertices) == _MAX_WINDOW_VERTICES:
+                        raise ValueError(
+                            f"window exceeds {_MAX_WINDOW_VERTICES} vertices; lower the radius"
+                        )
                     vertices[t] = u = t
                     nxt.append(t)
                 arrows.append(Arrow(v, beta, u, kind))

@@ -170,25 +170,43 @@ def test_h0_agrees_with_sl2_oracle():
         assert h0(rep).total_dimension == sl2_h0_oracle(rep)
 
 
+def random_chain_rep(g, top, root, length, rng):
+    """A random representation on the root chain top, top - root, ...,
+    with an arrow of random entries between each pair of neighbours."""
+    alpha = g.root_system.root(root)
+    chain = [tuple(t - i * a for t, a in zip(top, alpha.fund)) for i in range(length)]
+    support = {v: rng.randint(1, 2) for v in chain}
+    arrows = {}
+    for src, tgt in zip(chain, chain[1:]):
+        arrows[(src, alpha)] = Matrix(
+            [[rng.randint(-2, 2) for _ in range(support[src])] for _ in range(support[tgt])],
+            support[tgt],
+            support[src],
+        )
+    return QuiverRep(g, support, arrows)
+
+
+CHAINS = [  # (type, levi, top vertex, root in simple coordinates, length)
+    ("A1", (), (6,), (1,), 3),
+    ("A1", (), (2,), (1,), 4),
+    ("A2", (1,), (1, 2), (0, 1), 2),
+    ("A2", (1,), (1, 1), (0, 1), 3),
+    ("A3", (1,), (1, 1, 1), (0, 0, 1), 3),
+    ("A3", (2,), (1, 1, 1), (1, 0, 0), 3),
+    ("A3", (2,), (0, 2, 0), (1, 1, 0), 3),
+    ("A3", (1, 3), (0, 2, 0), (0, 1, 0), 4),
+]
+
+
 def test_h0_am_agrees_with_h0():
-    g = build_geometry("A1", ())
-    alpha = g.root_system.simple_root(1)
+    # the whole result, entries and the non-Borel note alike
     rng = random.Random(53)
-    for _ in range(25):
-        support = {(6 - 2 * i,): rng.randint(1, 2) for i in range(3)}
-        arrows = {}
-        for i in range(2):
-            src, tgt = (6 - 2 * i,), (4 - 2 * i,)
-            arrows[(src, alpha)] = Matrix(
-                [
-                    [rng.randint(-2, 2) for _ in range(support[src])]
-                    for _ in range(support[tgt])
-                ],
-                support[tgt],
-                support[src],
-            )
-        rep = QuiverRep(g, support, arrows)
-        assert h0_am(rep).total_dimension == h0(rep).total_dimension
+    for name, levi, top, root, length in CHAINS:
+        g = build_geometry(name, levi)
+        for _ in range(25):
+            rep = random_chain_rep(g, top, root, length, rng)
+            assert h0_am(rep) == h0(rep)
+            assert bool(h0(rep).notes) == bool(levi)
 
 
 def test_h0_am_finds_chain_and_pairings_once(monkeypatch):

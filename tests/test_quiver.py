@@ -78,6 +78,33 @@ def test_window_without_nilradical_stops_at_the_center():
     assert elapsed < 1.0, elapsed
 
 
+E6_CENTRE = ("E6", (2, 3, 4, 5, 6), (-1, 0, 1, 0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "name, levi, center, radius",
+    [E6_CENTRE + (10**12,), ("A2", (), (0, 0), 10**12), ("E8", (), (0,) * 8, 4)],
+    ids=["E6", "A2-Borel", "E8-Borel-radius-4"],
+)
+def test_huge_window_over_an_infinite_quiver_is_refused(name, levi, center, radius):
+    # the reachable quiver is infinite, so without a size bound the
+    # breadth-first pass would add a layer per radius step forever; the
+    # E8 radius-3 window has 40,786 vertices, and expanding all of them
+    # before refusing would build about 4.5M arrows
+    g = build_geometry(name, levi)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^window exceeds 50000 vertices; lower the radius$"):
+        quiver_window(g, center, radius)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, elapsed
+
+
+def test_window_below_the_size_bound_still_builds():
+    name, levi, center = E6_CENTRE
+    w = quiver_window(build_geometry(name, levi), center, 20)
+    assert len(w.vertices) == 16248
+
+
 def test_window_requires_vertex_center():
     g = build_geometry("A2", (2,))
     with pytest.raises(ValueError):

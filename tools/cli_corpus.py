@@ -315,7 +315,9 @@ def build_steps(made_dir: pathlib.Path) -> list:
               {"argv": ["quiver", "D4", "--levi", "1,2,3,4", "--center=1,0,2,0",
                         "--radius", "1000000000000"]},
               {"argv": ["quiver", "A2", "--levi", "1,2", "--center=0,0",
-                        "--radius", "1000000000000", "--json"]}]
+                        "--radius", "1000000000000", "--json"]},
+              {"argv": ["quiver", "A2", "--center", "0,0", "--radius", "1000000000000"]},
+              {"argv": e6 + ["--radius", "1000000000000"]}]
 
     made = []
     for type_name in MADE:
