@@ -130,7 +130,7 @@ def validate(rep: QuiverRep) -> list:
             continue
         # Both ends are p-dominant here, so the arrow exists exactly when
         # root is a nilradical root of this root system.
-        if geom.root_system.root(root.simple) != root or not geom.is_nilradical(root):
+        if not geom.is_nilradical(root):
             errors.append(f"arrow {src} -{root.simple}->: not a nilradical root")
             continue
         if (mat.rows, mat.cols) != (rep.support[tgt], rep.support[src]):
@@ -220,11 +220,12 @@ def relations_hold(rep: QuiverRep) -> bool:
 
 
 def _decompositions(rs, index: dict, delta: Root) -> list:
-    """The (i, j), i < j, of the positive roots (``index``) summing to delta."""
+    """The (i, j), i < j, of the positive roots (``index``) summing to delta;
+    beta comes before delta by height, so a root delta - beta is positive."""
     out = []
     for beta in rs.positive_roots[: index[delta]]:
         gamma = rs.root(_sub(delta.simple, beta.simple))
-        if gamma is not None and gamma.is_positive and index[beta] < index[gamma]:
+        if gamma is not None and index[beta] < index[gamma]:
             out.append((index[beta], index[gamma]))
     return out
 

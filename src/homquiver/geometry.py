@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .bott import sub_positive_roots
 from .rootsystem import CartanType, Root, RootSystem, Weight, build_root_system
 
 
@@ -31,7 +32,12 @@ class ParabolicGeometry:
         self.levi = levi  # sorted 1-based simple-root indices of the Levi factor
         # The Levi rho-shift: 1 on the Levi coordinates, 0 elsewhere.
         self.rho_levi = tuple(int(i + 1 in levi) for i in range(root_system.rank))
-        self.nilradical_roots = tuple(r for r in root_system.positive_roots if self.is_nilradical(r))
+        # A positive root lies in the nilradical exactly when it is no root
+        # of the Levi factor: its simple coordinates share one sign, so it
+        # is outside exactly when one off the Levi subset is positive.
+        levi_roots = frozenset(sub_positive_roots(root_system, frozenset(levi)))
+        self.nilradical_roots = tuple(r for r in root_system.positive_roots if r not in levi_roots)
+        self._nilradical = frozenset(self.nilradical_roots)
         self.generating_roots = tuple(
             r for r in self.nilradical_roots
             if sum(c for c, in_levi in zip(r.simple, self.rho_levi) if not in_levi) == 1
@@ -60,13 +66,10 @@ class ParabolicGeometry:
         return all(lam[i - 1] >= 0 for i in self.levi)
 
     def is_nilradical(self, root: Root) -> bool:
-        """Whether a root of this root system lies in the nilradical.
-
-        A root's simple coordinates share one sign, so it is a positive
-        root outside the Levi factor exactly when one of its coordinates
-        off the Levi subset is positive.
-        """
-        return any(c > 0 for c, in_levi in zip(root.simple, self.rho_levi) if not in_levi)
+        """Whether root is one of ``nilradical_roots``.  Both coordinate
+        tuples are compared, so a ``Root`` whose fundamental coordinates do
+        not match its simple ones in this root system is not."""
+        return root in self._nilradical
 
 
 def parabolic_key(cartan_type, levi=()) -> tuple:

@@ -12,7 +12,6 @@ along unchanged: only Levi coordinates are ever reflected.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
@@ -79,7 +78,7 @@ def freudenthal(geom: ParabolicGeometry, lam: Weight) -> tuple:
                 m, r = divmod(2 * num * scale, den)
                 if r or m <= 0:
                     raise AssertionError(
-                        f"Freudenthal multiplicity {Fraction(2 * num * scale, den)} at {mu}"
+                        f"Freudenthal multiplicity {2 * num * scale}/{den} at {mu}"
                     )
                 mult[mu] = m
             for alpha in pos_l:

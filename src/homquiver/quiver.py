@@ -5,12 +5,12 @@ root, one wherever both ends are vertices (see ``levi.arrow_multiplicity``
 for why the Levi tensor multiplicity is always 0 or 1).  The quiver is
 infinite; computations work on finite forward windows.
 
-Whether lam - beta is a vertex depends only on min(lam_i, cap_i) over the
-Levi indices i, with cap_i the largest coordinate i of a nilradical root
-(at least 0): once lam_i >= cap_i, lam_i >= beta_i for every beta, and
-below the cap lam_i is read exactly.  So each geometry keeps one lazily
-filled table of open roots; in type ADE cap_i <= 1, so it has at most
-2^|levi| rows, however large the weights.
+In type ADE a nilradical root beta pairs to at most 1 with every Levi
+simple root, so for a vertex lam, lam - beta fails to be p-dominant
+exactly where lam_i = 0 < beta_i on a Levi index i.  So the open roots
+depend only on which Levi coordinates of lam are 0, and each geometry
+keeps one lazily filled table of them, with at most 2^|levi| rows,
+however large the weights.
 
 Relations are only defined for the Borel case.  There the arrows in
 direction beta act as the Chevalley basis vector e_-beta of n^-, written
@@ -52,6 +52,7 @@ from .rootsystem import Root, RootSystem, Weight
 GENERATING = "generating"
 DERIVED = "derived"
 _MAX_WINDOW_VERTICES = 50_000  # larger windows are refused, not built
+_MAX_WINDOW_ARROWS = 500_000
 
 
 class Arrow(NamedTuple):
@@ -81,28 +82,22 @@ def is_vertex(geom: ParabolicGeometry, lam: Weight) -> bool:
 
 @lru_cache(maxsize=None)
 def _arrow_table(geom: ParabolicGeometry) -> tuple:
-    """(walls, rows): (i, cap_i, stride_i) per Levi index i (0-based), the
-    strides numbering the wall patterns min(lam_i, cap_i), and a map from
-    that number to the open triples, filled by ``_open_roots``."""
-    walls, stride = [], 1
-    for i in geom.levi:
-        cap = max([0] + [beta.fund[i - 1] for beta in geom.nilradical_roots])
-        walls.append((i - 1, cap, stride))
-        stride *= cap + 1
-    return tuple(walls), {}
+    """(walls, rows): the 0-based Levi indices, and a map from the walls
+    where a vertex is 0 to its open triples, filled by ``_open_roots``."""
+    return tuple(i - 1 for i in geom.levi), {}
 
 
 def _open_roots(geom: ParabolicGeometry, table: tuple, lam: Weight) -> tuple:
     """The (beta, kind, fund) triples with lam - beta p-dominant, for a vertex
-    lam, in nilradical order."""
+    lam, in nilradical order: beta_i <= 0 wherever lam_i = 0."""
     walls, rows = table
-    key = sum(min(lam[i], cap) * stride for i, cap, stride in walls)
+    key = tuple([i for i in walls if not lam[i]])
     out = rows.get(key)
     if out is None:
         out = rows[key] = tuple(
             (beta, GENERATING if beta in geom.generating_roots else DERIVED, beta.fund)
             for beta in geom.nilradical_roots
-            if all(lam[i] >= beta.fund[i] for i, _, _ in walls)
+            if all(beta.fund[i] <= 0 for i in key)
         )
     return out
 
@@ -127,9 +122,9 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
     are already vertices.  The pass stops at the first empty layer, so a
     huge radius costs no more than the whole reachable quiver, and it
     raises ``ValueError`` as soon as the window would pass
-    ``_MAX_WINDOW_VERTICES`` vertices, which bounds the work when that
-    quiver is infinite.  Arrows come in sorted vertex order, each vertex's
-    in root order.
+    ``_MAX_WINDOW_VERTICES`` vertices, or has passed ``_MAX_WINDOW_ARROWS``
+    arrows, which bounds the work when that quiver is infinite.  Arrows
+    come in sorted vertex order, each vertex's in root order.
     """
     if not is_vertex(geom, center):
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
@@ -139,6 +134,7 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
     vertices = {center: center}  # each vertex keyed by itself, so arrows share it
     out = {}
     frontier = [center]
+    built = 0
     while frontier:
         last = not radius
         radius -= 1
@@ -158,6 +154,9 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
                     vertices[t] = u = t
                     nxt.append(t)
                 arrows.append(Arrow(v, beta, u, kind))
+            built += len(arrows)
+            if built > _MAX_WINDOW_ARROWS:
+                raise ValueError(f"window exceeds {_MAX_WINDOW_ARROWS} arrows; lower the radius")
         frontier = nxt
     order = tuple(sorted(vertices))
     return QuiverWindow(order, tuple(a for v in order for a in out[v]))

@@ -4,14 +4,16 @@ Weights live in fundamental-weight coordinates (``coords[i] = <lam, alpha_i^v>``
 roots carry both simple-root and fundamental-weight coordinates, and the
 normalization of the invariant form gives every root squared length 2.  The
 structure-constant signs come from a bimultiplicative asymmetry function of
-Frenkel-Kac type; any other admissible sign choice yields an equivalent
-theory, and nothing downstream may depend on the particular one.
+Frenkel-Kac type, read off the edges of the Dynkin diagram; any other
+admissible sign choice yields an equivalent theory, and nothing downstream
+may depend on the particular one.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import Matrix, solve_in_basis
@@ -51,7 +53,7 @@ class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
 
 
 def _dynkin_edges(ct: CartanType) -> set:
-    """Edges of the Dynkin diagram, Bourbaki numbering, 1-based nodes."""
+    """Edges (i, j), i < j, of the Dynkin diagram, Bourbaki numbering, 1-based nodes."""
     n = ct.rank
     if ct.series == "A":
         return {(i, i + 1) for i in range(1, n)}
@@ -103,6 +105,7 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = cartan_matrix(cartan_type)
+        self._edges = tuple((a - 1, b - 1) for a, b in _dynkin_edges(cartan_type))
         # From the one elimination kernel, in canonical form: the least
         # common denominator over integer numerators.
         inv = solve_in_basis(Matrix(self.cartan_matrix), Matrix.identity(self.rank))
@@ -208,20 +211,13 @@ class RootSystem:
 
         On simple roots: eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i, a_j)
         for i < j, and +1 for i > j; extended bimultiplicatively.  Satisfies
-        eps(a, b) * eps(b, a) = (-1)^(a, b).
+        eps(a, b) * eps(b, a) = (-1)^(a, b).  As (a_i, a_j) = -1 exactly on
+        the Dynkin edges, eps(a, b) = (-1)^(sum_i a_i b_i + sum_edges a_i b_j).
         """
         av = a.simple if isinstance(a, Root) else tuple(a)
         bv = b.simple if isinstance(b, Root) else tuple(b)
-        sign = 1
-        for i, ai in enumerate(av):
-            if not ai:
-                continue
-            for j, bj in enumerate(bv):
-                if not bj or (ai * bj) % 2 == 0:
-                    continue
-                if i == j or (i < j and self.cartan_matrix[i][j] % 2):
-                    sign = -sign
-        return sign
+        odd = sum(map(mul, av, bv)) + sum(av[i] * bv[j] for i, j in self._edges)
+        return -1 if odd % 2 else 1
 
     def chevalley(self, a, b) -> int:
         """Chevalley constant N_ab with [e_a, e_b] = N_ab e_(a+b); 0 if a+b is no root."""

@@ -425,8 +425,9 @@ def brute_force_h0_multiplicity(rep, lam):
 #
 # The library derives each root's fundamental coordinates by adding a
 # simple root's Cartan row, inverts the Cartan matrix with its one
-# elimination kernel and reads the generating roots off the grading; these
-# recompute the same data the direct way.
+# elimination kernel, reads the signs off the Dynkin edges, takes the
+# nilradical as the roots outside the Levi sub-system and the generating
+# roots off the grading; these recompute the same data the direct way.
 
 
 def invert_oracle(mat):
@@ -451,6 +452,26 @@ def fund_oracle(rs, simple):
     return tuple(
         sum(rs.cartan_matrix[i][j] * simple[j] for j in range(rs.rank))
         for i in range(rs.rank)
+    )
+
+
+def asymmetry_oracle(rs, a, b):
+    """The asymmetry function eps(a, b) on simple coordinates, flipping the
+    sign once for each pair (i, j) with a_i b_j odd and either i = j or
+    i < j with an odd Cartan entry."""
+    sign = 1
+    for i, ai in enumerate(a.simple):
+        for j, bj in enumerate(b.simple):
+            if (ai * bj) % 2 and (i == j or (i < j and rs.cartan_matrix[i][j] % 2)):
+                sign = -sign
+    return sign
+
+
+def nilradical_oracle(geom):
+    """Positive roots with a positive simple coordinate off the Levi subset."""
+    return tuple(
+        r for r in geom.root_system.positive_roots
+        if any(c > 0 for i, c in enumerate(r.simple) if i + 1 not in geom.levi)
     )
 
 

@@ -26,6 +26,7 @@ from homquiver import (
     validate,
 )
 from homquiver.linalg import Matrix, row_basis
+from homquiver.rootsystem import Root
 
 from homquiver import bundle as bundle_mod
 from homquiver.bundle import _closure
@@ -92,7 +93,8 @@ def test_validate_accepts_good_rep(a2):
     assert validate(rep_l(a2, 0)) == []
 
 
-# (support, arrows by simple root 1 or -1) and the one error validate gives.
+# (support, arrows by simple root 1 or -1, or by a Root) and the one error
+# validate gives.
 BAD_SHAPES = {
     "coordinate-length": ({(0, 0, 0): 1}, {}, "vertex (0, 0, 0): wrong coordinate length"),
     "dimension": ({(0, 0): 0}, {}, "vertex (0, 0): non-positive dimension 0"),
@@ -105,6 +107,11 @@ BAD_SHAPES = {
         {(0, 0): 1, (2, -1): 1}, {((0, 0), -1): [[1]]},
         "arrow (0, 0) -(-1, 0)->: not a nilradical root",
     ),
+    # the simple coordinates of alpha_1 with fundamental ones of no root
+    "fundamental-coordinates": (
+        {(0, 0): 1, (-2, 2): 1}, {((0, 0), Root((1, 0), (2, -2))): [[1]]},
+        "arrow (0, 0) -(1, 0)->: not a nilradical root",
+    ),
     "matrix-shape": (
         {(0, 0): 2, (-2, 1): 1}, {((0, 0), 1): [[1, 0], [0, 1]]},
         "arrow (0, 0) -(1, 0)->: matrix is 2x2, expected 1x2",
@@ -116,7 +123,10 @@ BAD_SHAPES = {
 def test_validate_flags_bad_shape(a2, case):
     support, arrows, message = BAD_SHAPES[case]
     a1, _ = both_simple(a2)
-    arrows = {(src, a1 if sign > 0 else -a1): mat for (src, sign), mat in arrows.items()}
+    arrows = {
+        (src, root if isinstance(root, Root) else a1 if root > 0 else -a1): mat
+        for (src, root), mat in arrows.items()
+    }
     assert validate(QuiverRep(a2, support, arrows)) == [message]
 
 

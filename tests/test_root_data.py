@@ -1,11 +1,13 @@
 """Root data against the direct constructions it replaces.
 
 Each root's fundamental coordinates come from adding a simple root's
-Cartan row, the inverse Cartan matrix from the one elimination kernel
-and the generating roots from the grading of the nilradical.  The
-references in ``tests/oracles.py`` recompute the same data by the
-Cartan product, a Fraction Gauss-Jordan inverse and a scan over all
-pairs of nilradical roots.
+Cartan row, the inverse Cartan matrix from the one elimination kernel,
+the structure-constant signs from the Dynkin edges, the nilradical from
+the Levi sub-system and the generating roots from the grading of the
+nilradical.  The references in ``tests/oracles.py`` recompute the same
+data by the Cartan product, a Fraction Gauss-Jordan inverse, a scan of
+the Cartan matrix over coordinate pairs, a scan of simple coordinates
+and a scan over all pairs of nilradical roots.
 """
 
 import itertools
@@ -22,7 +24,13 @@ import homquiver
 from homquiver import build_geometry, build_root_system
 from homquiver.cli import main
 
-from .oracles import fund_oracle, generating_roots_oracle, invert_oracle
+from .oracles import (
+    asymmetry_oracle,
+    fund_oracle,
+    generating_roots_oracle,
+    invert_oracle,
+    nilradical_oracle,
+)
 
 ROOT_DATA_TYPES = (
     [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"]
@@ -64,6 +72,30 @@ def _geometries():
             ]
         for levi in levis:
             yield name, levi
+
+
+SIGN_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", SIGN_TYPES)
+def test_asymmetry_matches_cartan_scan(name):
+    rs = build_root_system(name)
+    roots = rs.positive_roots + tuple(-r for r in rs.positive_roots)
+    for a in roots:
+        for b in roots:
+            assert rs.asymmetry(a, b) == asymmetry_oracle(rs, a, b), (a.simple, b.simple)
+
+
+def test_nilradical_matches_coordinate_scan():
+    for name, levi in _geometries():
+        geom = build_geometry(name, levi)
+        assert geom.nilradical_roots == nilradical_oracle(geom), (name, levi)
+        rs = geom.root_system
+        for r in rs.positive_roots:
+            assert geom.is_nilradical(r) == (r in geom.nilradical_roots)
+            assert not geom.is_nilradical(-r)
+            # the simple coordinates of r with other fundamental ones
+            assert not geom.is_nilradical(r._replace(fund=tuple(-c for c in r.fund)))
 
 
 def test_generating_roots_match_pair_scan():

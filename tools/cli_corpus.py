@@ -317,7 +317,8 @@ def build_steps(made_dir: pathlib.Path) -> list:
               {"argv": ["quiver", "A2", "--levi", "1,2", "--center=0,0",
                         "--radius", "1000000000000", "--json"]},
               {"argv": ["quiver", "A2", "--center", "0,0", "--radius", "1000000000000"]},
-              {"argv": e6 + ["--radius", "1000000000000"]}]
+              {"argv": e6 + ["--radius", "1000000000000"]},
+              {"argv": ["quiver", "E8", "--center", "0,0,0,0,0,0,0,0", "--radius", "3"]}]
 
     made = []
     for type_name in MADE:
