@@ -33,6 +33,11 @@ class BottResult(NamedTuple):
 SINGULAR = BottResult()
 
 
+def _require_p_dominant(geom, lam: Weight) -> None:
+    if not geom.is_p_dominant(lam):
+        raise ValueError(f"{lam} is not p-dominant for levi {geom.levi}")
+
+
 @lru_cache(maxsize=None)
 def sub_positive_roots(rs: RootSystem, indices: frozenset) -> tuple:
     """Positive roots of the sub-system spanned by the 1-based simple indices."""
@@ -146,9 +151,8 @@ def bott(geom, lam: Weight) -> BottResult:
     bookkeeping is dropped since dimensions and multiplicities are
     dual-invariant.
     """
+    _require_p_dominant(geom, lam)
     rs = geom.root_system
-    if not geom.is_p_dominant(lam):
-        raise ValueError(f"{lam} is not p-dominant for levi {geom.levi}")
     shifted = tuple(c + 1 for c in lam)
     res = dominantize(rs, shifted)
     if res is None:

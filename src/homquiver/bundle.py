@@ -3,36 +3,55 @@
 A representation assigns a multiplicity dimension to finitely many
 vertices and a rational matrix to each arrow between supported vertices;
 an absent arrow is the zero map.  On the Borel parabolic the commutation
-relations with Chevalley coefficients cut out exactly the representations
-coming from bundles, and the non-generating ("derived") arrow matrices
-are determined by the generating ones: ``solve_derived_arrows`` performs
-that completion or reports the violated instances.
+relations with Chevalley coefficients (the ``quiver`` module docstring
+defines an instance) cut out exactly the representations coming from
+bundles, and the non-generating ("derived") arrow matrices are determined
+by the generating ones: ``solve_derived_arrows`` performs that completion
+or reports the violated instances.
 
 The engine has one relation, the bracket [f_beta, f_gamma] of two arrow
-directions at a vertex (``_bracket``).  Whether the relations hold is
+directions at a vertex (``_bracket``).  Whether every instance holds is
 decided by Serre's theorem (Humphreys, *Introduction to Lie Algebras and
-Representation Theory*, 18.1-18.3; the ``quiver`` module docstring has
-the proof sketch): ``_complete``, also the solver's core, completes the
-simple arrows by their brackets and checks that the Serre brackets
-vanish on the completion, and ``relations_hold`` accepts when they do
-and the completion gives back every arrow.  ``check_relations``, the
-relation check of the gate ``require_valid``, decides with it and lists
-the violated instances, each a bracket against its direct arrow, only
-for a rejected representation.  All three work from the arrows the
-representation has: a bracket at lam is nonzero only where a 2-path
-leaves lam, so each visits only such vertices.
+Representation Theory*, 18.1-18.3): n^- is generated by the e_-alpha_i
+subject only to [e_-i, e_-j] = 0 for non-adjacent i, j and
+ad(e_-i)^2 e_-j = 0 for adjacent i, j.  Proof sketch: complete the simple
+arrows f_i by brackets, f_delta = N[f_beta, f_gamma] by increasing height
+for one decomposition delta = beta + gamma, N = N(-beta, -gamma) = +-1.
+Then f_(alpha_i+alpha_j) = +-[f_i, f_j] for adjacent i, j, so
+ad(f_i)^2 f_j = +-[f_i, f_(alpha_i+alpha_j)], and the Serre relations say
+that the brackets [f_i, f_j], i, j non-adjacent, and [f_i,
+f_(alpha_i+alpha_j)], i, j adjacent, vanish.  If they do, there is a Lie
+algebra map phi from n^- with phi(e_-alpha_i) = f_i, and by induction on
+the height of delta, f_delta = N[phi(e_-beta), phi(e_-gamma)] =
+phi(e_-delta).  So the completed arrows are the image of n^- under phi,
+and every bracket relation holds on them because it holds in n^-.  A
+representation whose non-simple arrows are these brackets therefore
+satisfies every instance; conversely the Serre relations and these
+brackets are consequences of the instances, so the two conditions hold
+exactly when every instance does.
+
+``_completion_plan`` fixes that completion once per root system: one
+decomposition per non-simple root, its pair ordered by the sign N, and
+the Serre pairs.  ``_complete``, also the solver's core, runs it, and
+``relations_hold`` accepts when the Serre brackets vanish and the
+completion gives back every arrow.  ``check_relations``, the relation
+check of the gate ``require_valid``, lists the violated instances, each
+a bracket against its direct arrow, only for a rejected representation.
+All three visit only the vertices a 2-path leaves: a bracket at lam is
+nonzero only there.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
 from .geometry import ParabolicGeometry, build_geometry
 from .linalg import Matrix, row_basis
-from .quiver import RelationInstance, first_decompositions, serre_brackets
-from .rootsystem import Root, Weight
+from .quiver import RelationInstance
+from .rootsystem import Root, RootSystem, Weight
 
 
 class RelationError(Exception):
@@ -173,23 +192,52 @@ def _starts(arrows: dict, sources: dict, beta: Root, gamma: Root) -> set:
     }
 
 
+@lru_cache(maxsize=None)
+def _completion_plan(rs: RootSystem) -> tuple:
+    """(steps, serre), the completion of ``_complete``; cached, callers
+    must not mutate.
+
+    ``steps``: per non-simple positive root delta, in root order, its first
+    decomposition in root-pair order, alpha_(i+1) + gamma for
+    ``rs.parent[delta] = (gamma, i)`` (the simple roots come first, as
+    alpha_n ... alpha_1), as (delta, beta, gamma) with N(-beta, -gamma) = 1,
+    so that [f_beta, f_gamma] is f_delta.  ``serre``: (f_i, f_j) for
+    non-adjacent i < j and (f_i, f_(alpha_i+alpha_j)) for adjacent i, j in
+    each order.
+    """
+    simple = rs.simple_roots
+    steps = []
+    for delta in rs.positive_roots[rs.rank:]:
+        gamma, i = rs.parent[delta]
+        alpha = simple[i]
+        pair = (alpha, gamma) if rs.chevalley(-alpha, -gamma) == 1 else (gamma, alpha)
+        steps.append((delta, *pair))
+    serre = []
+    for i, a in enumerate(simple):
+        for j, b in enumerate(simple):
+            if i == j:
+                continue
+            if rs.cartan_matrix[i][j]:
+                serre.append((a, rs.root(tuple(map(operator.add, a.simple, b.simple)))))
+            elif i < j:
+                serre.append((a, b))
+    return tuple(steps), tuple(serre)
+
+
 def _complete(rep: QuiverRep) -> tuple:
     """(work, serre): work is rep's simple arrows and, by increasing
-    height, each derived arrow f_delta = N[f_beta, f_gamma] on the first
-    decomposition of delta, visiting the 2-path sources in sorted order;
-    serre is whether every Serre bracket (``quiver.serre_brackets``)
-    vanishes on work at its 2-path sources.
+    height, each derived arrow f_delta, the bracket of its step in
+    ``_completion_plan``, visiting the 2-path sources in sorted order;
+    serre is whether every Serre bracket of the plan vanishes on work at
+    its 2-path sources.
     """
     rs = rep.geometry.root_system
-    simples = set(rs.positive_roots[: rs.rank])
+    steps, serre_pairs = _completion_plan(rs)
+    simples = set(rs.simple_roots)
     arrows = {key: mat for key, mat in rep.arrows.items() if key[1] in simples}
     work = QuiverRep(rep.geometry, rep.support, arrows)
     sources = _group((root, lam) for lam, root in work.arrows)
-    for delta, (beta, gamma, n) in first_decompositions(rs).items():
-        # N = chevalley(-beta, -gamma) is +-1 since beta + gamma is a root,
-        # so N[f_beta, f_gamma] is [f_gamma, f_beta] when N = -1.
-        if n < 0:
-            beta, gamma = gamma, beta
+    for delta, beta, gamma in steps:
         for lam in sorted(_starts(work.arrows, sources, beta, gamma)):
             mat = _bracket(work, lam, beta, gamma)
             if mat is not None:
@@ -197,7 +245,7 @@ def _complete(rep: QuiverRep) -> tuple:
                 sources.setdefault(delta, []).append(lam)
     serre = all(
         _bracket(work, lam, beta, gamma) is None
-        for beta, gamma in serre_brackets(rs)
+        for beta, gamma in serre_pairs
         for lam in _starts(work.arrows, sources, beta, gamma)
     )
     return work, serre
@@ -206,7 +254,7 @@ def _complete(rep: QuiverRep) -> tuple:
 def relations_hold(rep: QuiverRep) -> bool:
     """Whether a structurally valid Borel representation satisfies every
     relation instance: the Serre brackets vanish, and each non-simple arrow
-    equals its bracket on the first decomposition.
+    equals the bracket of its step in ``_completion_plan``.
 
     Both come from ``_complete(rep)``.  The Serre brackets read only the
     simple arrows and the support, which rep shares with its completion.
@@ -399,7 +447,7 @@ def _adjoint(geom: ParabolicGeometry, sign: int) -> QuiverRep:
     support = {r.fund: 1 for r in roots}
     arrows = {}
     for r in roots:
-        for gamma in rs.positive_roots[: rs.rank]:
+        for gamma in rs.simple_roots:
             if _sub(r.fund, gamma.fund) in support:
                 arrows[(r.fund, gamma)] = Matrix([[rs.chevalley(-gamma, r)]])
     return solve_derived_arrows(QuiverRep(geom, support, arrows))

@@ -15,14 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 
-from .bott import dominantize, reflect_to_dominant, root_pairings, sub_positive_roots, weyl_dim
+from .bott import _require_p_dominant, dominantize, reflect_to_dominant, root_pairings, sub_positive_roots, weyl_dim
 from .geometry import ParabolicGeometry
 from .rootsystem import Weight
-
-
-def _require_p_dominant(geom: ParabolicGeometry, lam: Weight):
-    if not geom.is_p_dominant(lam):
-        raise ValueError(f"{lam} is not p-dominant for levi {geom.levi}")
 
 
 # Weight-keyed memos are bounded: their keys are arbitrary weights, so an

@@ -18,26 +18,9 @@ f_beta, and the relations are the commutation relations
 [f_beta, f_gamma] = N(-beta, -gamma) f_(beta+gamma).  An instance at lam
 for the pair {beta, gamma} ends at lam - beta - gamma, and it can fail
 only where one of its paths exists: the 2-path beta,gamma or gamma,beta,
-or the direct arrow beta + gamma.
-
-Deciding whether every instance holds needs far fewer equations, by
-Serre's theorem (Humphreys, *Introduction to Lie Algebras and
-Representation Theory*, 18.1-18.3): n^- is generated by the e_-alpha_i
-subject only to [e_-i, e_-j] = 0 for non-adjacent i, j and
-ad(e_-i)^2 e_-j = 0 for adjacent i, j.  Proof sketch: complete the simple
-arrows f_i by brackets, f_delta = N[f_beta, f_gamma] by increasing height
-for one decomposition delta = beta + gamma, N = N(-beta, -gamma) = +-1
-(``first_decompositions``).  Then f_(alpha_i+alpha_j) = +-[f_i, f_j] for
-adjacent i, j, so ad(f_i)^2 f_j = +-[f_i, f_(alpha_i+alpha_j)], and the
-Serre relations say that the brackets of ``serre_brackets`` vanish.  If
-they do, there is a Lie algebra map phi from n^- with phi(e_-alpha_i) =
-f_i, and by induction on the height of delta, f_delta = N[phi(e_-beta),
-phi(e_-gamma)] = phi(e_-delta).  So the completed arrows are the image
-of n^- under phi, and every bracket relation holds on them because it
-holds in n^-.  A representation whose non-simple arrows are these
-brackets therefore satisfies every instance; conversely the Serre
-relations and these brackets are consequences of the instances, so the
-two conditions hold exactly when every instance does.
+or the direct arrow beta + gamma.  ``bundle`` decides whether every
+instance holds, by Serre's theorem; ``borel_relation_instances`` lists
+them.
 """
 
 from __future__ import annotations
@@ -47,7 +30,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .geometry import ParabolicGeometry
-from .rootsystem import Root, RootSystem, Weight
+from .rootsystem import Root, Weight
 
 GENERATING = "generating"
 DERIVED = "derived"
@@ -184,44 +167,4 @@ def borel_relation_instances(geom: ParabolicGeometry, support) -> tuple:
                 if mid_b in support or mid_g in support or end in support:
                     n = rs.chevalley(-beta, -gamma)
                     out.append(RelationInstance(lam, beta, gamma, n))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def first_decompositions(rs: RootSystem) -> dict:
-    """Each non-simple positive root delta -> (beta, gamma, N(-beta, -gamma)).
-
-    delta = beta + gamma is the first decomposition in root-pair order:
-    beta is the earliest positive root with delta - beta one (were gamma
-    earlier, it would be that root).  Some simple root is such a beta, and
-    the simple roots come first, as alpha_n ... alpha_1, so beta is
-    alpha_(i+1) for the last i with delta - alpha_(i+1) a root: the
-    decomposition ``rs.parent`` records as (gamma, i).  Keys come in root
-    order, by increasing height.  Cached; callers must not mutate.
-    """
-    out = {}
-    for delta in rs.positive_roots[rs.rank:]:
-        gamma, i = rs.parent[delta]
-        beta = rs.simple_root(i + 1)
-        out[delta] = (beta, gamma, rs.chevalley(-beta, -gamma))
-    return out
-
-
-@lru_cache(maxsize=None)
-def serre_brackets(rs: RootSystem) -> tuple:
-    """The Serre relations of n^- as (beta, gamma) pairs whose bracket
-    [f_beta, f_gamma] vanishes on the completed arrows (see the module
-    docstring): (f_i, f_j) for non-adjacent i < j, and (f_i,
-    f_(alpha_i+alpha_j)) for adjacent i, j in each order.
-    """
-    simple = [rs.simple_root(i + 1) for i in range(rs.rank)]
-    out = []
-    for i, a in enumerate(simple):
-        for j, b in enumerate(simple):
-            if i == j:
-                continue
-            if rs.cartan_matrix[i][j]:
-                out.append((a, rs.root(tuple(x + y for x, y in zip(a.simple, b.simple)))))
-            elif i < j:
-                out.append((a, b))
     return tuple(out)

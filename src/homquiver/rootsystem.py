@@ -20,7 +20,8 @@ from .linalg import Matrix, solve_in_basis
 
 Weight = tuple  # integer vector in fundamental-weight coordinates
 
-_RANK_BOUNDS = {"A": (1, None), "D": (4, None), "E": (6, 8)}
+# Root data grows about as rank^3, so higher ranks are refused, not built.
+_RANK_BOUNDS = {"A": (1, 200), "D": (4, 200), "E": (6, 8)}
 
 
 class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
@@ -33,7 +34,7 @@ class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
         if lo_hi is None:
             raise ValueError(f"unsupported series {series!r}: must be A, D or E")
         lo, hi = lo_hi
-        if rank < lo or (hi is not None and rank > hi):
+        if not lo <= rank <= hi:
             raise ValueError(f"invalid rank {rank} for series {series}")
         return super().__new__(cls, series, rank)
 
@@ -115,7 +116,7 @@ class RootSystem:
         self.gram_scale = inv.den
         self.gram = inv.num
         self.rho: Weight = (1,) * self.rank
-        self.positive_roots, self.parent = self._close_positive_roots()
+        self.simple_roots, self.positive_roots, self.parent = self._close_positive_roots()
         self._roots_by_simple = {}
         self._roots_by_fund = {}
         for r in self.positive_roots:
@@ -133,8 +134,9 @@ class RootSystem:
         return f"RootSystem({self.cartan_type})"
 
     def _close_positive_roots(self) -> tuple:
-        """``(roots, parent)``: the positive roots, sorted by height and
-        simple coordinates, and the decomposition of each non-simple one.
+        """``(simples, roots, parent)``: the simple roots alpha_1 ... alpha_n,
+        the positive roots, sorted by height and simple coordinates, and the
+        decomposition of each non-simple one.
 
         In type ADE no pairing of a root with another exceeds 1, and
         (delta, delta) = 2 is the sum of delta.simple[i] * (delta, alpha_i),
@@ -164,13 +166,13 @@ class RootSystem:
                         parent[delta] = (beta, i)
                         roots.append(delta)
         roots.sort(key=lambda r: (r.height, r.simple))
-        return tuple(roots), parent
+        return tuple(simples), tuple(roots), parent
 
     def simple_root(self, i: int) -> Root:
         """Simple root alpha_i, 1-based index."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple root index {i} out of range 1..{self.rank}")
-        return self._roots_by_simple[tuple(int(j == i - 1) for j in range(self.rank))]
+        return self.simple_roots[i - 1]
 
     def root(self, simple: tuple):
         """The Root with the given simple coordinates, or None."""

@@ -11,18 +11,21 @@ and a scan over all pairs of nilradical roots.
 """
 
 import itertools
+import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import homquiver
 from homquiver import build_geometry, build_root_system
 from homquiver.cli import main
+from homquiver.rootsystem import CartanType
 
 from .oracles import (
     asymmetry_oracle,
@@ -140,3 +143,44 @@ def test_wrong_length_vertex_fails_before_the_build(tmp_path, capsys):
         2, "", "error: vertex (0,): wrong coordinate length\n"
     )
     assert elapsed < 1.0, elapsed
+
+
+RANK_REFUSALS = {
+    "CartanType-A201": "A201",
+    "build_geometry-D100000": "D100000",
+    "make-tangent-A100000": "A100000",
+    "check-D100000-file": "D100000",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_REFUSALS))
+def test_rank_past_the_bound_is_refused_before_any_build(case, tmp_path, capsys):
+    # The rank is checked on parsing, so a short argument or a 40-byte
+    # file with a huge rank costs nothing.
+    name = RANK_REFUSALS[case]
+    message = f"invalid rank {name[1:]} for series {name[0]}"
+    bundle, made = tmp_path / "big.json", tmp_path / "x.json"
+    bundle.write_text(json.dumps({"algebra": name, "vertices": []}))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        if case.startswith("CartanType"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CartanType(name[0], int(name[1:]))
+        elif case.startswith("build_geometry"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build_geometry(name)
+        else:
+            argv = ["make", "tangent", name, "-o", str(made)] if case.startswith("make") else [
+                "check", str(bundle)]
+            assert main(argv) == 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    if case.startswith(("make", "check")):
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not made.exists()
+    assert elapsed < 0.5, elapsed
+    assert peak < 1 << 20, peak

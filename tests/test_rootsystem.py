@@ -28,6 +28,15 @@ def test_cartan_type_parsing():
             CartanType.parse(bad)
 
 
+@pytest.mark.parametrize("series,hi", [("A", 200), ("D", 200), ("E", 8)])
+def test_rank_has_an_upper_bound(series, hi):
+    assert CartanType.parse(f"{series}{hi}") == CartanType(series, hi)
+    with pytest.raises(ValueError, match=rf"^invalid rank {hi + 1} for series {series}$"):
+        CartanType(series, hi + 1)
+    with pytest.raises(ValueError, match=rf"^invalid rank {hi + 1} for series {series}$"):
+        CartanType.parse(f"{series}{hi + 1}")
+
+
 def test_string_and_cartan_type_share_one_build():
     before = rootsystem._root_system.cache_info()
     by_name = build_root_system("A20")
@@ -222,3 +231,18 @@ def test_closure_records_each_root_once_by_its_last_simple_step(name):
         assert tuple(b + a for b, a in zip(beta.fund, alpha.fund)) == delta.fund
         assert beta.is_positive and where[beta] < where[delta]
         assert delta.fund[i] == 1 and 1 not in delta.fund[i + 1:]
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES[:16])
+def test_simple_roots_are_the_closure_record(name):
+    # alpha_1 ... alpha_n in index order, the very roots that head the
+    # sorted list as alpha_n ... alpha_1, and the ones parent indexes.
+    rs = build_root_system(name)
+    n = rs.rank
+    assert len(rs.simple_roots) == n
+    for i, alpha in enumerate(rs.simple_roots):
+        assert alpha.simple == tuple(int(j == i) for j in range(n))
+        assert alpha is rs.simple_root(i + 1) is rs.positive_roots[n - 1 - i]
+    for delta, (beta, i) in rs.parent.items():
+        alpha = rs.simple_roots[i]
+        assert tuple(b + a for b, a in zip(beta.simple, alpha.simple)) == delta.simple

@@ -40,7 +40,6 @@ from homquiver import (
 from homquiver import bundle as bundle_mod
 from homquiver.bundle import relations_hold, require_valid
 from homquiver.linalg import Matrix
-from homquiver.quiver import first_decompositions
 
 from .oracles import (
     conjugate,
@@ -264,15 +263,30 @@ def test_each_serre_path_alone_is_rejected(type_name):
 
 @pytest.mark.parametrize("type_name", TABLE_TYPES)
 def test_first_decompositions_are_first_table_entries(type_name):
+    # Each completion-plan step's pair is the first decomposition of its
+    # root, ordered so that its sign N(-beta, -gamma) is +1.
     rs = build_geometry(type_name).root_system
-    first = first_decompositions(rs)
-    expected = {
-        delta: entries[0][2:]
-        for delta, entries in relation_table(rs).values()
-        if delta is not None
-    }
-    assert first == expected
-    assert list(first) == [r for r in rs.positive_roots if r.height >= 2]
+    steps, _ = bundle_mod._completion_plan(rs)
+    table = relation_table(rs)
+    for delta, beta, gamma in steps:
+        _, _, first, second, n = table[delta.fund][1][0]
+        assert (beta, gamma) == ((first, second) if n == 1 else (second, first))
+        assert rs.chevalley(-beta, -gamma) == 1
+    assert [delta for delta, _, _ in steps] == [r for r in rs.positive_roots if r.height >= 2]
+
+
+@pytest.mark.parametrize("type_name", TABLE_TYPES)
+def test_completion_plan_serre_pairs_match_serre_relations(type_name):
+    # One pair per Serre relation, in the same order: [f_i, f_j] for
+    # non-adjacent i, j, [f_i, f_(alpha_i+alpha_j)] for adjacent ones.
+    rs = build_geometry(type_name).root_system
+    _, serre = bundle_mod._completion_plan(rs)
+    relations = serre_relations(rs)
+    assert len(serre) == len(relations)
+    for (beta, gamma), (shift, terms) in zip(serre, relations):
+        assert beta.height == 1
+        assert tuple(a + b for a, b in zip(beta.fund, gamma.fund)) == shift
+        assert gamma.height == len(terms[0][1]) - 1
 
 
 FUZZ = settings(

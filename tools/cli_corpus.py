@@ -187,6 +187,7 @@ MALFORMED = {
     "unknown_key.json": json.dumps({"algebra": "A1", "vertices": [], "extra": 1}),
     "missing_key.json": json.dumps({"algebra": "A1"}),
     "bad_algebra.json": _doc("Z9", [([0], 1)]),
+    "rank_too_high.json": _doc("D201", []),
     "algebra_number.json": json.dumps({"algebra": 2, "vertices": []}),
     "bad_levi.json": _doc("A2", [([0, 0], 1)], levi=[3]),
     "levi_text.json": _doc("A2", [([0, 0], 1)], levi="1"),
@@ -264,7 +265,7 @@ def build_steps(made_dir: pathlib.Path) -> list:
         ["bott", "A2", "--", "1", "2", "3"], ["bott", "A2", "--levi", "2", "--", "1"],
         ["bott", "A2", "--levi", "x", "--", "0", "0"], ["bott", "A2", "--levi", "3", "--", "0", "0"],
         ["bott", "A2", "--", "a", "0"], ["bott", "A120", "--", "1"],
-        ["bott", "A120", "--levi", "121", "--", "1"],
+        ["bott", "A120", "--levi", "121", "--", "1"], ["bott", "A201", "--", "0"],
         ["quiver", "A2", "--center", "0,0,0", "--radius", "1"],
         ["quiver", "A2", "--center", "a,b", "--radius", "1"],
         ["quiver", "A2", "--center", "0,0"], ["quiver", "A2", "--center", "0,0", "--radius", "x"],
@@ -273,6 +274,7 @@ def build_steps(made_dir: pathlib.Path) -> list:
         ["quiver", "A120", "--center", "0", "--radius", "1"],
         ["make", "tangent", "A2"], ["make", "sideways", "A2", "-o", "x.json"],
         ["make", "tangent", "B2", "-o", "x.json"], ["make", "tangent", "A2", "-o", "nodir/x.json"],
+        ["make", "tangent", "A201", "-o", "x.json"],
         ["hgr", "fixtures/F.json"], ["hgr", "fixtures/F.json", "--degree", "x"],
         ["check"], ["check", "f.json", "extra"], ["check", "missing.json"], ["h0", "missing.json"],
         ["solve", "fixtures/F.json"], ["euler", "fixtures/F.json", "--bogus"],
