@@ -38,7 +38,9 @@ completion gives back every arrow.  ``check_relations``, the relation
 check of the gate ``require_valid``, lists the violated instances, each
 a bracket against its direct arrow, only for a rejected representation.
 All three visit only the vertices a 2-path leaves: a bracket at lam is
-nonzero only there.
+nonzero only there.  ``_signed`` alone orders a root pair by its sign,
+for the plan and for the one table of decompositions per root system
+(``_relation_table``) that the listing reads.
 """
 
 from __future__ import annotations
@@ -193,6 +195,37 @@ def _starts(arrows: dict, sources: dict, beta: Root, gamma: Root) -> set:
 
 
 @lru_cache(maxsize=None)
+def _relation_table(rs: RootSystem) -> tuple:
+    """(index, decompositions): ``index`` numbers ``positive_roots``, and
+    ``decompositions`` holds each root's, filled by ``_decompositions`` as
+    they are read.  One per root system; cached, callers must not mutate."""
+    return {root: k for k, root in enumerate(rs.positive_roots)}, {}
+
+
+def _signed(rs: RootSystem, beta: Root, gamma: Root) -> tuple:
+    """(N, pair): N = N(-beta, -gamma), and pair the bracket order with
+    N = 1, (gamma, beta) when N = -1, so [f_pair] = f_(beta+gamma) when
+    the sum is a root (N != 0)."""
+    n = rs.chevalley(-beta, -gamma)
+    return n, ((gamma, beta) if n < 0 else (beta, gamma))
+
+
+def _decompositions(rs: RootSystem, table: tuple, delta: Root) -> dict:
+    """{(i, j): (N, pair)} over the positive roots beta, gamma at positions
+    i < j that sum to delta, in that order, from ``_signed``; beta comes
+    before delta by height, so a root delta - beta is positive."""
+    index, decompositions = table
+    out = decompositions.get(delta)
+    if out is None:
+        out = decompositions[delta] = {}
+        for beta in rs.positive_roots[: index[delta]]:
+            gamma = rs.root(_sub(delta.simple, beta.simple))
+            if gamma is not None and index[beta] < index[gamma]:
+                out[index[beta], index[gamma]] = _signed(rs, beta, gamma)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _completion_plan(rs: RootSystem) -> tuple:
     """(steps, serre), the completion of ``_complete``; cached, callers
     must not mutate.
@@ -200,17 +233,16 @@ def _completion_plan(rs: RootSystem) -> tuple:
     ``steps``: per non-simple positive root delta, in root order, its first
     decomposition in root-pair order, alpha_(i+1) + gamma for
     ``rs.parent[delta] = (gamma, i)`` (the simple roots come first, as
-    alpha_n ... alpha_1), as (delta, beta, gamma) with N(-beta, -gamma) = 1,
-    so that [f_beta, f_gamma] is f_delta.  ``serre``: (f_i, f_j) for
-    non-adjacent i < j and (f_i, f_(alpha_i+alpha_j)) for adjacent i, j in
-    each order.
+    alpha_n ... alpha_1), as (delta, beta, gamma) with N(-beta, -gamma) = 1
+    (the bracket order of ``_signed``), so that [f_beta, f_gamma] is
+    f_delta.  ``serre``: (f_i, f_j) for non-adjacent i < j and (f_i,
+    f_(alpha_i+alpha_j)) for adjacent i, j in each order.
     """
     simple = rs.simple_roots
     steps = []
     for delta in rs.positive_roots[rs.rank:]:
         gamma, i = rs.parent[delta]
-        alpha = simple[i]
-        pair = (alpha, gamma) if rs.chevalley(-alpha, -gamma) == 1 else (gamma, alpha)
+        _, pair = _signed(rs, simple[i], gamma)
         steps.append((delta, *pair))
     serre = []
     for i, a in enumerate(simple):
@@ -267,17 +299,6 @@ def relations_hold(rep: QuiverRep) -> bool:
     return serre and work.arrows == rep.arrows
 
 
-def _decompositions(rs, index: dict, delta: Root) -> list:
-    """The (i, j), i < j, of the positive roots (``index``) summing to delta;
-    beta comes before delta by height, so a root delta - beta is positive."""
-    out = []
-    for beta in rs.positive_roots[: index[delta]]:
-        gamma = rs.root(_sub(delta.simple, beta.simple))
-        if gamma is not None and index[beta] < index[gamma]:
-            out.append((index[beta], index[gamma]))
-    return out
-
-
 def _violated_instances(rep: QuiverRep) -> list:
     """The violated relation instances of a Borel representation whose
     arrows are in positive directions, by source and then by the (i, j)
@@ -292,26 +313,24 @@ def _violated_instances(rep: QuiverRep) -> list:
     """
     rs = rep.geometry.root_system
     pos = rs.positive_roots
-    index = {root: k for k, root in enumerate(pos)}
+    table = _relation_table(rs)
+    index = table[0]
     out_roots = _group(rep.arrows)
-    roots = {root for _, root in rep.arrows}
-    decompositions = {root: _decompositions(rs, index, root) for root in roots}
-    relation = {}  # (i, j) -> (N, delta, the bracket pair), built once per pair
     violated = []
     for lam in sorted(rep.support):
         pairs = set()
         for first in out_roots.get(lam, ()):
-            pairs.update(decompositions[first])
+            pairs.update(_decompositions(rs, table, first))
             for second in out_roots.get(_sub(lam, first.fund), ()):
                 if second != first:
                     pairs.add(tuple(sorted((index[first], index[second]))))
         for i, j in sorted(pairs):
             beta, gamma = pos[i], pos[j]
-            if (i, j) not in relation:
-                n = rs.chevalley(-beta, -gamma)
-                delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple))) if n else None
-                relation[i, j] = (n, delta, (gamma, beta) if n < 0 else (beta, gamma))
-            n, delta, pair = relation[i, j]
+            delta = rs.root(tuple(map(operator.add, beta.simple, gamma.simple)))
+            if delta is None:
+                n, pair = 0, (beta, gamma)
+            else:
+                n, pair = _decompositions(rs, table, delta)[i, j]
             if _bracket(rep, lam, *pair) != rep.arrows.get((lam, delta)):
                 violated.append(RelationInstance(lam, beta, gamma, n))
     return violated

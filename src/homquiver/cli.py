@@ -163,21 +163,18 @@ def _bott(args):
 def _quiver(args):
     geom = _geometry(args.type, args.levi, args.center, "--center")
     window = quiver_window(geom, args.center, args.radius)
-    doc = {
-        "vertices": [list(v) for v in window.vertices],
-        "arrows": [
-            {"from": list(a.source), "root": list(a.root.simple),
-             "to": list(a.target), "kind": a.kind}
-            for a in window.arrows
-        ],
-    }
-    lines = [f"vertex {_fmt_weight(v)}" for v in window.vertices]
-    lines += [
-        f"arrow {_fmt_weight(a.source)} -> {_fmt_weight(a.target)} "
-        f"root={_fmt_weight(a.root.simple)} kind={a.kind}"
-        for a in window.arrows
-    ]
-    return doc, lines
+    # Only the output asked for is built, each vertex and root formatted once.
+    fmt = list if args.json else _fmt_weight
+    vertices = {v: fmt(v) for v in window.vertices}
+    roots = {beta: fmt(beta.simple) for beta in geom.nilradical_roots}
+    if args.json:
+        arrows = [{"from": vertices[a.source], "root": roots[a.root],
+                   "to": vertices[a.target], "kind": a.kind} for a in window.arrows]
+        return {"vertices": list(vertices.values()), "arrows": arrows}, None
+    lines = [f"vertex {text}" for text in vertices.values()]
+    lines += [f"arrow {vertices[a.source]} -> {vertices[a.target]} "
+              f"root={roots[a.root]} kind={a.kind}" for a in window.arrows]
+    return None, lines
 
 
 def _check(args):
@@ -238,8 +235,9 @@ def _print_error(exc):
 
 def main(argv=None, out=None) -> int:
     """Run one subcommand.  Its handler returns ``(doc, lines)``, the
-    ``--json`` document and the text lines, and only this function
-    prints them, to ``out`` (standard output when None)."""
+    ``--json`` document and the text lines (a handler may leave the one
+    not asked for as None), and only this function prints the chosen
+    one, to ``out`` (standard output when None)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

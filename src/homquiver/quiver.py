@@ -12,6 +12,16 @@ depend only on which Levi coordinates of lam are 0, and each geometry
 keeps one lazily filled table of them, with at most 2^|levi| rows,
 however large the weights.
 
+A window keys its weights by integer vertex codes: the mixed-radix
+number of a weight's offset from the centre, one digit per coordinate,
+with more digit values than the window's weights can differ by in a
+coordinate.  A step subtracts a nilradical root, whose fundamental
+coordinates lie in -1..2 in type ADE, so after at most radius + 1 steps
+two weights differ by at most 3 * (radius + 1) there, and a radix of
+3 * (radius + 1) + 1 makes the code injective and order-preserving on
+every weight the window probes.  An arrow then costs one integer
+subtraction and one dict probe.
+
 Relations are only defined for the Borel case.  There the arrows in
 direction beta act as the Chevalley basis vector e_-beta of n^-, written
 f_beta, and the relations are the commutation relations
@@ -26,7 +36,7 @@ them.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .geometry import ParabolicGeometry
@@ -108,24 +118,53 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
     ``_MAX_WINDOW_VERTICES`` vertices, or has passed ``_MAX_WINDOW_ARROWS``
     arrows, which bounds the work when that quiver is infinite.  Arrows
     come in sorted vertex order, each vertex's in root order.
+
+    The pass keys each weight w by an integer code, the mixed-radix
+    number sum (w_i - center_i) * radix^(n-i), so center is 0.  A step
+    subtracts a nilradical root, whose fundamental coordinates lie in
+    lo..hi with lo <= 0 <= hi (-1..2 in type ADE).  Every weight the pass
+    probes is at most depth = min(radius, _MAX_WINDOW_VERTICES) + 1 steps
+    from center (a vertex at distance k comes after k others, and a
+    window holds at most ``_MAX_WINDOW_VERTICES``), so two of them differ
+    by at most (hi - lo) * depth < radix in each coordinate.  Their codes
+    then differ with the sign of their first differing coordinate: the
+    code is injective on those weights and orders them as the weights
+    themselves.  An arrow is one subtraction of its root's code and one
+    dict probe, and a vertex's tuple is built once, when it is found, and
+    shared by its arrows.
     """
     if not is_vertex(geom, center):
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     table = _arrow_table(geom)
-    vertices = {center: center}  # each vertex keyed by itself, so arrows share it
+    walls = table[0]
+    coords = [0, *(c for beta in geom.nilradical_roots for c in beta.fund)]
+    lo, hi = min(coords), max(coords)
+    depth = min(radius, _MAX_WINDOW_VERTICES) + 1
+    radix = (hi - lo) * depth + 1
+    places = [radix ** k for k in reversed(range(len(center)))]
+    coded = {}  # wall key -> the open (beta, kind, code of beta) triples
+    vertices = {0: center}  # code -> vertex, shared by its arrows
     out = {}
-    frontier = [center]
+    frontier = [(0, center)]
     built = 0
+    new = tuple.__new__
     while frontier:
         last = not radius
         radius -= 1
         nxt = []
-        for v in frontier:
-            arrows = out[v] = []
-            for beta, kind, fund in _open_roots(geom, table, v):
-                t = tuple(map(sub, v, fund))
+        for code, v in frontier:
+            key = tuple([i for i in walls if not v[i]])
+            row = coded.get(key)
+            if row is None:
+                row = coded[key] = tuple(
+                    (beta, kind, sum(map(mul, fund, places)))
+                    for beta, kind, fund in _open_roots(geom, table, v)
+                )
+            arrows = out[code] = []
+            for beta, kind, step in row:
+                t = code - step
                 u = vertices.get(t)
                 if u is None:
                     if last:
@@ -134,15 +173,18 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
                         raise ValueError(
                             f"window exceeds {_MAX_WINDOW_VERTICES} vertices; lower the radius"
                         )
-                    vertices[t] = u = t
-                    nxt.append(t)
-                arrows.append(Arrow(v, beta, u, kind))
+                    u = vertices[t] = tuple(map(sub, v, beta.fund))
+                    nxt.append((t, u))
+                arrows.append(new(Arrow, (v, beta, u, kind)))
             built += len(arrows)
             if built > _MAX_WINDOW_ARROWS:
                 raise ValueError(f"window exceeds {_MAX_WINDOW_ARROWS} arrows; lower the radius")
         frontier = nxt
-    order = tuple(sorted(vertices))
-    return QuiverWindow(order, tuple(a for v in order for a in out[v]))
+    order = sorted(vertices)
+    return QuiverWindow(
+        tuple(map(vertices.__getitem__, order)),
+        tuple(a for code in order for a in out[code]),
+    )
 
 
 def borel_relation_instances(geom: ParabolicGeometry, support) -> tuple:

@@ -20,7 +20,7 @@ from homquiver import (
     quiver_window,
 )
 from homquiver.levi import arrow_multiplicity, freudenthal, levi_weyl_dim
-from homquiver.quiver import DERIVED, GENERATING
+from homquiver.quiver import DERIVED, GENERATING, Arrow
 
 from .oracles import (
     arrow_multiplicity_oracle,
@@ -226,17 +226,53 @@ def test_quiver_window_matches_reference(name, levi):
 
 
 @pytest.mark.parametrize("name,levi", [
-    (name, levi) for name in ("A3", "D4", "E6") for levi in _all_levis(int(name[1:]))
+    (name, levi) for name in ("A3", "D4", "E6", "A4") for levi in _all_levis(int(name[1:]))
 ])
 def test_quiver_window_matches_two_pass_reference(name, levi):
+    # radius 4 on A4 is where a vertex code with too few digit values per
+    # coordinate first maps two probed weights to one code
     geom = build_geometry(name, levi)
     rank = geom.root_system.rank
     rng = random.Random(f"two-pass:{name}:{levi}")
     center = tuple(rng.randint(0, 1) if i + 1 in levi else rng.randint(-2, 2)
                    for i in range(rank))
-    for radius in range(4):
+    for radius in range(5 if name == "A4" else 4):
         window = quiver_window(geom, center, radius)
         assert (window.vertices, window.arrows) == quiver_window_two_pass(geom, center, radius)
+
+
+@pytest.mark.parametrize("name,levi", [("A4", ()), ("D4", (2,)), ("E6", (2, 3, 4, 5, 6))])
+def test_window_moves_with_a_huge_torus_shift(name, levi):
+    # the vertex code depends on the offset from the centre only, so a
+    # centre moved by 10**15 along the torus coordinates gives the window
+    # moved by that much
+    geom = build_geometry(name, levi)
+    rank = geom.root_system.rank
+    torus = [i for i in range(rank) if i + 1 not in levi]
+    shift = tuple(10**15 if i in torus else 0 for i in range(rank))
+
+    def moved(w):
+        return tuple(a + b for a, b in zip(w, shift))
+
+    center = tuple(1 if i + 1 in levi else -1 for i in range(rank))
+    near = quiver_window(geom, center, 3)
+    far = quiver_window(geom, moved(center), 3)
+    assert far.vertices == tuple(map(moved, near.vertices))
+    assert far.arrows == tuple(
+        (moved(a.source), a.root, moved(a.target), a.kind) for a in near.arrows
+    )
+
+
+@pytest.mark.parametrize("name,levi,radius", [("A4", (), 4), ("E6", (2, 3, 4, 5, 6), 6)])
+def test_window_arrows_share_the_vertex_objects(name, levi, radius):
+    # each vertex tuple is built once, and every arrow end is that object
+    geom = build_geometry(name, levi)
+    center = (0,) * geom.root_system.rank
+    window = quiver_window(geom, center, radius)
+    vertex = {v: v for v in window.vertices}
+    for a in window.arrows:
+        assert type(a) is Arrow
+        assert a.source is vertex[a.source] and a.target is vertex[a.target]
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

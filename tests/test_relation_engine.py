@@ -261,6 +261,22 @@ def test_relation_table_groups_every_pair_once(type_name):
 
 
 @pytest.mark.parametrize("type_name", ALL_TYPES)
+def test_listing_table_matches_pair_scan(type_name):
+    # the listing's table per root system, filled as it is read, gives each
+    # root's decompositions in pair order, with each sign and bracket order
+    rs = build_geometry(type_name).root_system
+    table = bundle_mod._relation_table(rs)
+    for delta, entries in relation_table(rs).values():
+        if delta is None:
+            continue
+        want = {(i, j): (n, (gamma, beta) if n < 0 else (beta, gamma))
+                for i, j, beta, gamma, n in entries}
+        got = bundle_mod._decompositions(rs, table, delta)
+        assert list(got.items()) == list(want.items())
+    assert bundle_mod._relation_table(rs) is table
+
+
+@pytest.mark.parametrize("type_name", ALL_TYPES)
 def test_solver_decomposition_matches_pair_scan(type_name):
     rs = build_geometry(type_name).root_system
     table = relation_table(rs)

@@ -314,6 +314,7 @@ def build_steps(made_dir: pathlib.Path) -> list:
     e6 = ["quiver", "E6", "--levi", "2,3,4,5,6", "--center=-1,0,1,0,0,1"]
     steps += [{"argv": e6 + ["--radius", r]} for r in ("0", "1", "2", "3")]
     steps += [{"argv": e6 + ["--radius", "2", "--json"]},
+              {"argv": ["quiver", "A4", "--center", "0,0,0,0", "--radius", "4", "--json"]},
               {"argv": ["quiver", "D4", "--levi", "1,2,3,4", "--center=1,0,2,0",
                         "--radius", "1000000000000"]},
               {"argv": ["quiver", "A2", "--levi", "1,2", "--center=0,0",
