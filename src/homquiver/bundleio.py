@@ -71,9 +71,7 @@ def rep_from_dict(doc: dict) -> QuiverRep:
     algebra = doc["algebra"]
     if not isinstance(algebra, str):
         raise BundleFormatError('"algebra" must be a string such as "A2"')
-    levi = doc.get("levi", [])
-    if not isinstance(levi, list) or not all(_is_int(i) for i in levi):
-        raise BundleFormatError('"levi" must be a list of integers')
+    levi = _int_vector(doc.get("levi", []), '"levi"')
     try:
         cartan_type, levi = parabolic_key(algebra, levi)
     except ValueError as exc:

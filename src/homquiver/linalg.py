@@ -4,11 +4,13 @@ Everything downstream (relation checking, kernel dimensions, Gabriel
 decompositions) is decided by exact ranks and kernels, so no floating
 point is allowed anywhere.
 
-A ``Matrix`` is stored as integer numerator rows ``num`` over one
-positive common denominator ``den``; entry (i, j) is ``num[i][j] / den``.
-The pair is kept in canonical form: ``den > 0``, the gcd of ``den`` and
-all numerators is 1, and so a zero (or empty) matrix has ``den == 1``.
-Equal matrices therefore have equal ``(num, den)``, products, sums and
+A ``Matrix`` is the immutable tuple ``(rows, cols, num, den)``: integer
+numerator rows ``num`` over one positive common denominator ``den``;
+entry (i, j) is ``num[i][j] / den``.  The pair is kept in canonical
+form: ``den > 0``, the gcd of ``den`` and all numerators is 1, and so a
+zero (or empty) matrix has ``den == 1``.  Every way to build one (the
+constructor, ``_make`` and so ``_replace``, and the internal builders)
+gives that form, so equal matrices are equal tuples, products, sums and
 scalings run on Python ints, and ``Fraction``s appear only at the
 boundary: the constructor accepts anything ``Fraction`` does, and the
 ``data`` and ``nullspace`` views return Fractions.
@@ -27,19 +29,23 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 
-class Matrix:
-    """Immutable dense rational matrix with explicit shape.
+class Matrix(NamedTuple("Matrix", [("rows", int), ("cols", int), ("num", tuple), ("den", int)])):
+    """Immutable dense rational matrix with explicit shape: the tuple of
+    its canonical fields, which give its equality, hash and order.
 
     The explicit shape matters: zero-row and zero-column matrices occur
     naturally (absent vertices of a quiver representation act as zero
     spaces) and must compose with correct dimensions.
     """
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ()
+    # ``m * 2`` and ``(1,) + m`` raise, not repeat or extend the tuple
+    __mul__ = __rmul__ = __radd__ = None
 
-    def __init__(self, data, rows=None, cols=None):
+    def __new__(cls, data, rows=None, cols=None):
         data = [
             [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
             for row in data
@@ -59,16 +65,12 @@ class Matrix:
         num = tuple(
             tuple(x.numerator * (den // x.denominator) for x in row) for row in data
         )
-        self._set(num, den, rows, cols)
+        return tuple.__new__(cls, (rows, cols, num, den))
 
-    def _set(self, num, den, rows, cols):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    @classmethod
+    def _make(cls, fields):  # so that ``_replace`` checks and canonicalises too
+        rows, cols, num, den = fields
+        return cls([[Fraction(x, den) for x in row] for row in num], rows, cols)
 
     @classmethod
     def _reduced(cls, num, den: int, rows: int, cols: int) -> "Matrix":
@@ -82,41 +84,23 @@ class Matrix:
             den //= g
         else:
             num = tuple(map(tuple, num))
-        mat = object.__new__(cls)
-        mat._set(num, den, rows, cols)
-        return mat
+        return tuple.__new__(cls, (rows, cols, num, den))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         # No rows, no zero row to build: a 0 x d zero space costs nothing.
-        mat = object.__new__(cls)
-        mat._set(((0,) * cols,) * rows if rows else (), 1, rows, cols)
-        return mat
+        return tuple.__new__(cls, (rows, cols, ((0,) * cols,) * rows if rows else (), 1))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         num = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        mat = object.__new__(cls)
-        mat._set(num, 1, n, n)
-        return mat
+        return tuple.__new__(cls, (n, n, num, 1))
 
     @property
     def data(self) -> tuple:
         """The entries as rows of Fractions (built on each access)."""
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
@@ -159,9 +143,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         # Same entries over the same denominator: still canonical.
-        mat = object.__new__(Matrix)
-        mat._set(tuple(zip(*self.num)) or ((),) * self.cols, self.den, self.cols, self.rows)
-        return mat
+        num = tuple(zip(*self.num)) or ((),) * self.cols
+        return tuple.__new__(Matrix, (self.cols, self.rows, num, self.den))
 
     def pick_columns(self, cols) -> "Matrix":
         """The columns at the given indices, in that order."""

@@ -8,9 +8,8 @@ infinite; computations work on finite forward windows.
 In type ADE a nilradical root beta pairs to at most 1 with every Levi
 simple root, so for a vertex lam, lam - beta fails to be p-dominant
 exactly where lam_i = 0 < beta_i on a Levi index i.  So the open roots
-depend only on which Levi coordinates of lam are 0, and each geometry
-keeps one lazily filled table of them, with at most 2^|levi| rows,
-however large the weights.
+depend only on which Levi coordinates of lam are 0, and a window builds
+each of its at most 2^|levi| rows once, however large the weights.
 
 A window keys its weights by integer vertex codes: the mixed-radix
 number of a weight's offset from the centre, one digit per coordinate,
@@ -35,7 +34,6 @@ them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -73,26 +71,15 @@ def is_vertex(geom: ParabolicGeometry, lam: Weight) -> bool:
     return geom.is_p_dominant(lam)
 
 
-@lru_cache(maxsize=None)
-def _arrow_table(geom: ParabolicGeometry) -> tuple:
-    """(walls, rows): the 0-based Levi indices, and a map from the walls
-    where a vertex is 0 to its open triples, filled by ``_open_roots``."""
-    return tuple(i - 1 for i in geom.levi), {}
-
-
-def _open_roots(geom: ParabolicGeometry, table: tuple, lam: Weight) -> tuple:
-    """The (beta, kind, fund) triples with lam - beta p-dominant, for a vertex
-    lam, in nilradical order: beta_i <= 0 wherever lam_i = 0."""
-    walls, rows = table
-    key = tuple([i for i in walls if not lam[i]])
-    out = rows.get(key)
-    if out is None:
-        out = rows[key] = tuple(
-            (beta, GENERATING if beta in geom.generating_roots else DERIVED, beta.fund)
-            for beta in geom.nilradical_roots
-            if all(beta.fund[i] <= 0 for i in key)
-        )
-    return out
+def _open_roots(geom: ParabolicGeometry, lam: Weight) -> tuple:
+    """The (beta, kind) pairs with lam - beta p-dominant, for a vertex lam,
+    in nilradical order: beta_i <= 0 wherever lam_i = 0 on a Levi index i."""
+    zero = [i - 1 for i in geom.levi if not lam[i - 1]]
+    return tuple(
+        (beta, GENERATING if beta in geom.generating_roots else DERIVED)
+        for beta in geom.nilradical_roots
+        if all(beta.fund[i] <= 0 for i in zero)
+    )
 
 
 def arrows_from(geom: ParabolicGeometry, lam: Weight) -> tuple:
@@ -100,8 +87,8 @@ def arrows_from(geom: ParabolicGeometry, lam: Weight) -> tuple:
     if not is_vertex(geom, lam):
         raise ValueError(f"{lam} is not a vertex for levi {geom.levi}")
     return tuple(
-        Arrow(lam, beta, tuple(map(sub, lam, fund)), kind)
-        for beta, kind, fund in _open_roots(geom, _arrow_table(geom), lam)
+        Arrow(lam, beta, tuple(map(sub, lam, beta.fund)), kind)
+        for beta, kind in _open_roots(geom, lam)
     )
 
 
@@ -137,8 +124,7 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
         raise ValueError(f"{center} is not a vertex for levi {geom.levi}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    table = _arrow_table(geom)
-    walls = table[0]
+    walls = tuple(i - 1 for i in geom.levi)
     coords = [0, *(c for beta in geom.nilradical_roots for c in beta.fund)]
     lo, hi = min(coords), max(coords)
     depth = min(radius, _MAX_WINDOW_VERTICES) + 1
@@ -159,8 +145,8 @@ def quiver_window(geom: ParabolicGeometry, center: Weight, radius: int) -> Quive
             row = coded.get(key)
             if row is None:
                 row = coded[key] = tuple(
-                    (beta, kind, sum(map(mul, fund, places)))
-                    for beta, kind, fund in _open_roots(geom, table, v)
+                    (beta, kind, sum(map(mul, beta.fund, places)))
+                    for beta, kind in _open_roots(geom, v)
                 )
             arrows = out[code] = []
             for beta, kind, step in row:

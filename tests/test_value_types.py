@@ -6,11 +6,14 @@ CLI must not pay for importing ``dataclasses`` (and the ``inspect`` it
 imports) on every call.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from homquiver.bott import SINGULAR, BottResult
 from homquiver.bundle import AmPath, GabrielDecomposition
 from homquiver.cohomology import GModuleDecomposition, IsotypicEntry, Pairing
+from homquiver.linalg import Matrix
 from homquiver.quiver import Arrow, QuiverWindow, RelationInstance
 from homquiver.rootsystem import CartanType, Root
 
@@ -65,6 +68,29 @@ def test_value_type_is_its_field_tuple(cls, names, a, b):
     assert (a < b) == (fields(a) < fields(b)) and (a > b) == (fields(a) > fields(b))
     lo, hi = sorted([a, b])
     assert fields(lo) < fields(hi)
+
+
+def test_matrix_is_its_canonical_field_tuple():
+    # Matrix(*fields) is not its constructor, so VALUES cannot hold it.
+    m = Matrix([[2, 4], [Fraction(1, 3), 0]])
+    assert Matrix._fields == ("rows", "cols", "num", "den")
+    assert fields(m) == (2, 2, ((6, 12), (1, 0)), 3)
+    with pytest.raises(AttributeError):
+        m.den = 1
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert hash(m) == hash(fields(m)) and Matrix._make(fields(m)) == m
+    # a field edit goes through the constructor, so it stays canonical
+    assert m._replace(den=2 * m.den) == Matrix([[1, 2], [Fraction(1, 6), 0]])
+    assert Matrix([[2, 4]])._replace(den=2) == Matrix([[1, 2]])
+    with pytest.raises(ValueError):
+        m._replace(rows=3)
+    with pytest.raises(TypeError):
+        m * 2
+    with pytest.raises(TypeError):
+        2 * m
+    with pytest.raises(TypeError):
+        (1,) + m
 
 
 def test_value_type_repr_names_its_fields():
