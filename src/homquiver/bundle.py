@@ -38,8 +38,11 @@ completion gives back every arrow.  ``check_relations``, the relation
 check of the gate ``require_valid``, lists the violated instances, each
 a bracket against its direct arrow, only for a rejected representation.
 All three visit only the vertices a 2-path leaves: a bracket at lam is
-nonzero only there.  ``_signed`` alone orders a root pair by its sign,
-for the plan and for the one table of decompositions per root system
+nonzero only there.  A bracket is one integer combination of its two
+2-path products (``linalg.int_product``) over the lcm of their
+denominators, reduced to a canonical ``Matrix`` once, and only when it
+is nonzero.  ``_signed`` alone orders a root pair by its sign, for the
+plan and for the one table of decompositions per root system
 (``_relation_table``) that the listing reads.
 """
 
@@ -51,7 +54,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .geometry import ParabolicGeometry, build_geometry
-from .linalg import Matrix, row_basis
+from .linalg import Matrix, int_product, row_basis
 from .quiver import RelationInstance
 from .rootsystem import Root, RootSystem, Weight
 
@@ -165,13 +168,34 @@ def validate(rep: QuiverRep) -> list:
 def _bracket(rep: QuiverRep, lam: Weight, beta: Root, gamma: Root) -> Matrix | None:
     """The bracket [f_beta, f_gamma] at lam, walk(lam, (gamma, beta)) -
     walk(lam, (beta, gamma)), or None when it is zero; [f_gamma, f_beta]
-    is its negative.  A product of nonzero arrows can be zero, so the
-    result is tested whichever paths exist."""
-    mat = rep.walk(lam, (gamma, beta))
-    other = rep.walk(lam, (beta, gamma))
-    if other is not None:
-        mat = other.scale(-1) if mat is None else mat - other
-    return None if mat is None or mat.is_zero() else mat
+    is its negative.
+
+    The two products are combined unreduced, as integer rows over the lcm
+    of their denominators, the second one's denominator negated, and the
+    one canonical ``Matrix`` is built only for a nonzero bracket.  A
+    product of nonzero arrows can be zero, so the integers are tested
+    whichever paths exist.
+    """
+    terms = []
+    for sign, first, second in ((1, gamma, beta), (-1, beta, gamma)):
+        a = rep.arrows.get((lam, first))
+        b = None if a is None else rep.arrows.get((_sub(lam, first.fund), second))
+        if b is not None:
+            terms.append((int_product(b, a), sign * b.den * a.den, (b.rows, a.cols)))
+    if not terms:
+        return None
+    num, den, shape = terms[0]
+    if len(terms) == 2:
+        other, den_m, shape_m = terms[1]
+        if shape_m != shape:
+            raise ValueError("shape mismatch in subtraction")
+        common = lcm(den, den_m)  # positive, so the factor fm is negative
+        fp, fm = common // den, common // den_m
+        num = [[fp * x + fm * y for x, y in zip(r, s)] for r, s in zip(num, other)]
+        den = common
+    if not any(map(any, num)):
+        return None
+    return Matrix._reduced(num, den, *shape)  # a negative den negates the rows
 
 
 def _group(pairs) -> dict:
@@ -266,8 +290,10 @@ def _complete(rep: QuiverRep) -> tuple:
     rs = rep.geometry.root_system
     steps, serre_pairs = _completion_plan(rs)
     simples = set(rs.simple_roots)
-    arrows = {key: mat for key, mat in rep.arrows.items() if key[1] in simples}
-    work = QuiverRep(rep.geometry, rep.support, arrows)
+    # rep's parts are canonical already: copied, not built again by __init__
+    work = object.__new__(QuiverRep)
+    work.geometry, work.support = rep.geometry, dict(rep.support)
+    work.arrows = {key: mat for key, mat in rep.arrows.items() if key[1] in simples}
     sources = _group((root, lam) for lam, root in work.arrows)
     for delta, beta, gamma in steps:
         for lam in sorted(_starts(work.arrows, sources, beta, gamma)):
@@ -418,7 +444,10 @@ def line_bundle(geom: ParabolicGeometry, coords) -> QuiverRep:
 
 
 def direct_sum(*reps: QuiverRep) -> QuiverRep:
-    """Direct sum: block-diagonal arrows on the union of the supports."""
+    """Direct sum: block-diagonal arrows on the union of the supports.
+
+    An arrow whose one block fills the summed source and target spaces is
+    that summand's ``Matrix`` itself: matrices are immutable values."""
     if not reps:
         raise ValueError("empty direct sum")
     geom = reps[0].geometry
@@ -437,6 +466,10 @@ def direct_sum(*reps: QuiverRep) -> QuiverRep:
             (r.arrows[(src, root)], off) for r, off in zip(reps, offsets)
             if (src, root) in r.arrows
         ]
+        mat = blocks[0][0]
+        if len(blocks) == 1 and (mat.rows, mat.cols) == (support[tgt], support[src]):
+            arrows[(src, root)] = mat
+            continue
         # The integer rows of each block, brought over the lcm of the
         # blocks' denominators.
         den = lcm(*(mat.den for mat, _ in blocks))

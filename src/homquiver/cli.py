@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .bott import bott
 from .bundle import RelationError, cotangent, gabriel_decompose, require_structure, require_valid, solve_derived_arrows, tangent
-from .bundleio import BundleFormatError, load_rep, rep_to_dict, save_rep
+from .bundleio import BundleFormatError, load_rep, save_rep
 from .cohomology import GModuleDecomposition, euler, h0, h_graded
 from .geometry import build_geometry, parabolic_key
 from .quiver import quiver_window

@@ -72,6 +72,9 @@ class Matrix(NamedTuple("Matrix", [("rows", int), ("cols", int), ("num", tuple),
         rows, cols, num, den = fields
         return cls([[Fraction(x, den) for x in row] for row in num], rows, cols)
 
+    def __reduce__(self):  # copy and pickle rebuild from the integer fields
+        return Matrix._reduced, (self.num, self.den, self.rows, self.cols)
+
     @classmethod
     def _reduced(cls, num, den: int, rows: int, cols: int) -> "Matrix":
         """The matrix num / den (integer rows, nonzero den of either sign),
@@ -130,15 +133,7 @@ class Matrix(NamedTuple("Matrix", [("rows", int), ("cols", int), ("num", tuple),
         return Matrix._reduced(num, self.den * c.denominator, self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch in product: {self.rows}x{self.cols} @ "
-                f"{other.rows}x{other.cols}"
-            )
-        columns = tuple(zip(*other.num)) or ((),) * other.cols
-        num = tuple(
-            tuple([sum(map(mul, row, col)) for col in columns]) for row in self.num
-        )
+        num = int_product(self, other)
         return Matrix._reduced(num, self.den * other.den, self.rows, other.cols)
 
     def transpose(self) -> "Matrix":
@@ -221,6 +216,18 @@ class Matrix(NamedTuple("Matrix", [("rows", int), ("cols", int), ("num", tuple),
 
     def nullity(self) -> int:
         return self.cols - self.rank()
+
+
+def int_product(a: Matrix, b: Matrix) -> list:
+    """The integer rows of a @ b over the denominator a.den * b.den, not
+    reduced: the one product routine, for ``@`` and for callers that
+    combine products before reducing once."""
+    if a.cols != b.rows:
+        raise ValueError(
+            f"shape mismatch in product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+        )
+    columns = tuple(zip(*b.num)) or ((),) * b.cols
+    return [[sum(map(mul, row, col)) for col in columns] for row in a.num]
 
 
 def row_basis(mat: Matrix) -> tuple[Matrix, tuple]:

@@ -223,6 +223,41 @@ def random_consistent_rep(geom, rng, max_terms=3):
     return conjugate(rep, {lam: random_invertible(rng, d) for lam, d in rep.support.items()})
 
 
+def block_diagonal_oracle(*reps):
+    """The direct sum of reps by Fraction entries: dimensions add up, each
+    summand's spaces sit after those of the summands before it, and each
+    arrow is the zero-padded block diagonal of the summands' arrows."""
+    support, offsets = {}, []
+    for rep in reps:
+        offsets.append(dict(support))
+        for lam, d in rep.support.items():
+            support[lam] = support.get(lam, 0) + d
+    entries = {}
+    for rep, off in zip(reps, offsets):
+        for (src, root), mat in rep.arrows.items():
+            tgt = tuple(a - b for a, b in zip(src, root.fund))
+            block = entries.setdefault(
+                (src, root), [[Fraction(0)] * support[src] for _ in range(support[tgt])]
+            )
+            for i, row in enumerate(mat.data):
+                for j, x in enumerate(row):
+                    block[off.get(tgt, 0) + i][off.get(src, 0) + j] = x
+    arrows = {key: Matrix(rows, len(rows), len(rows[0])) for key, rows in entries.items()}
+    return QuiverRep(reps[0].geometry, support, arrows)
+
+
+def translate(rep, shift):
+    """rep with every vertex moved by shift: the same arrow matrices."""
+    def move(lam):
+        return tuple(a + b for a, b in zip(lam, shift))
+
+    return QuiverRep(
+        rep.geometry,
+        {move(lam): d for lam, d in rep.support.items()},
+        {(move(src), root): mat for (src, root), mat in rep.arrows.items()},
+    )
+
+
 def conjugate(rep, change):
     """Change of basis at every vertex: arrow -> P_tgt^{-1} M P_src."""
     from homquiver.linalg import solve_in_basis
@@ -802,6 +837,18 @@ def serre_relations_hold(rep):
             if not total.is_zero():
                 return False
     return True
+
+
+def bracket_oracle(rep, lam, beta, gamma):
+    """The bracket [f_beta, f_gamma] at lam, walk(lam, (gamma, beta)) -
+    walk(lam, (beta, gamma)), or None when it is zero, formed as canonical
+    matrices: each walk, then their difference, or the lone second walk
+    scaled by -1, then the zero test."""
+    mat = rep.walk(lam, (gamma, beta))
+    other = rep.walk(lam, (beta, gamma))
+    if other is not None:
+        mat = other.scale(-1) if mat is None else mat - other
+    return None if mat is None or mat.is_zero() else mat
 
 
 def support_relation_instances(geom, support):

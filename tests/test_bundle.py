@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,7 @@ from homquiver.bundle import _closure
 from .oracles import (
     am_chain_oracle,
     arrow_or_zero,
+    block_diagonal_oracle,
     colon_kernel_oracle,
     conjugate,
     path_matrix,
@@ -42,6 +44,7 @@ from .oracles import (
     random_invertible,
     restrict_oracle,
     span_closure_oracle,
+    translate,
     transpose,
 )
 from .test_relation_engine import dense_check
@@ -276,6 +279,38 @@ def test_direct_sum_blocks_over_mixed_denominators(a2):
     expected = Matrix([["1/2", 0], [0, "2/3"], [0, 1]])
     assert rep.arrows == {((1, 0), alpha): expected}
     assert rep.arrows[((1, 0), alpha)].den == 6
+
+
+def test_direct_sum_matches_block_diagonal_oracle():
+    # conjugated A3 bundles, each over its own denominators; the shifted
+    # cotangent bundle overlaps the tangent bundle, so blocks are padded,
+    # and the far one is disjoint from both, so its arrows fill the summed
+    # spaces and are kept as they are
+    g = build_geometry("A3")
+    rng = random.Random("direct_sum")
+
+    def scrambled(rep, c):
+        rep = conjugate(rep, {lam: random_invertible(rng, d) for lam, d in rep.support.items()})
+        return QuiverRep(g, rep.support, {k: m.scale(c) for k, m in rep.arrows.items()})
+
+    t = scrambled(tangent(g), Fraction(1, 2))
+    c = scrambled(translate(cotangent(g), (1, 0, 1)), Fraction(2, 3))
+    far = scrambled(translate(tangent(g), (9, 9, 9)), Fraction(3, 5))
+    padded = kept = 0
+    for summands in ((t, c), (c, t, far), (t, far), (far,), (t, t, c)):
+        rep = direct_sum(*summands)
+        assert rep == block_diagonal_oracle(*summands)
+        for key, mat in rep.arrows.items():
+            owners = [s for s in summands if key in s.arrows]
+            src, tgt = key[0], tuple(a - b for a, b in zip(key[0], key[1].fund))
+            if len(owners) == 1 and (owners[0].dim(src), owners[0].dim(tgt)) == (
+                rep.dim(src), rep.dim(tgt)
+            ):
+                assert mat is owners[0].arrows[key]
+                kept += 1
+            else:
+                padded += 1
+    assert padded > 20 and kept > 20
 
 
 def test_line_bundle_requires_borel():

@@ -13,6 +13,7 @@ decomposition as a scan over all root pairs.
 import pathlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from homquiver import (
     build_geometry,
     check_relations,
     cotangent,
+    direct_sum,
     h0,
     load_rep,
     tangent,
@@ -29,7 +31,16 @@ from homquiver import (
 from homquiver.linalg import Matrix
 from homquiver.quiver import RelationInstance, borel_relation_instances
 
-from .oracles import arrow_or_zero, path_matrix, relation_table, support_relation_instances
+from .oracles import (
+    arrow_or_zero,
+    bracket_oracle,
+    conjugate,
+    path_matrix,
+    random_invertible,
+    relation_table,
+    support_relation_instances,
+    translate,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SMALL_TYPES = ("A2", "A3", "A4", "D4", "D5", "E6")
@@ -292,3 +303,102 @@ def test_solver_decomposition_matches_pair_scan(type_name):
         root, entries = table[delta.fund]
         assert root == delta
         assert entries[0][2:4] == scanned
+
+
+def _bracket_reps():
+    """Seeded A2-A4 bundles with dense rationals: the tangent bundle twice
+    plus the cotangent bundle moved by the highest root, so that vertices
+    of dimension 1, 2 and 3 meet, conjugated vertexwise; each also with
+    about half its arrows disturbed, so that brackets are arbitrary.  Then
+    the E6 tangent and cotangent bundles."""
+    reps = []
+    for seed, name in enumerate(("A2", "A3", "A4")):
+        g = build_geometry(name)
+        rng = random.Random(f"bracket:{seed}")
+        t = tangent(g)
+        top = g.root_system.positive_roots[-1].fund
+        rep = direct_sum(t, t, translate(cotangent(g), top))
+        rep = conjugate(rep, {lam: random_invertible(rng, d) for lam, d in rep.support.items()})
+        noise = {
+            key: Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                          for _ in range(mat.cols)] for _ in range(mat.rows)])
+            for key, mat in sorted(rep.arrows.items()) if rng.random() < 0.5
+        }
+        disturbed = {key: mat + noise.get(key, Matrix.zeros(mat.rows, mat.cols))
+                     for key, mat in rep.arrows.items()}
+        reps += [rep, QuiverRep(g, rep.support, disturbed)]
+    e6 = build_geometry("E6")
+    return reps + [tangent(e6), cotangent(e6)]
+
+
+def _bracket_candidates(rep):
+    """Every (lam, beta, gamma) with a 2-path along beta, gamma or gamma,
+    beta from lam: elsewhere both walks are absent."""
+    out_roots = {}
+    for lam, root in rep.arrows:
+        out_roots.setdefault(lam, []).append(root)
+    found = set()
+    for lam, firsts in out_roots.items():
+        for first in firsts:
+            mid = tuple(a - b for a, b in zip(lam, first.fund))
+            for second in out_roots.get(mid, ()):
+                found.update({(lam, first, second), (lam, second, first)})
+    return sorted(found)
+
+
+def test_bracket_matches_the_walk_oracle():
+    # the bracket combines its two integer products over one lcm and
+    # reduces once; the oracle forms each walk and their difference as
+    # canonical matrices
+    both = nonzero_both = 0
+    for rep in _bracket_reps():
+        for lam, beta, gamma in _bracket_candidates(rep):
+            got = bundle_mod._bracket(rep, lam, beta, gamma)
+            assert got == bracket_oracle(rep, lam, beta, gamma)
+            mid = tuple(a - b for a, b in zip(lam, beta.fund))
+            if (lam, beta) in rep.arrows and (mid, gamma) in rep.arrows:
+                mid = tuple(a - b for a, b in zip(lam, gamma.fund))
+                if (lam, gamma) in rep.arrows and (mid, beta) in rep.arrows:
+                    both += 1
+                    nonzero_both += got is not None and got.den > 1
+    # both paths, and a nonzero rational difference, are exercised
+    assert both > 100 and nonzero_both > 20
+
+
+def test_bracket_hand_cases():
+    g = build_geometry("A3")
+    rs = g.root_system
+    a1, a2, a3 = (rs.simple_root(i) for i in (1, 2, 3))
+    lam = (2, 2, 2)
+
+    def sub(*roots):  # the vertex lam minus the roots
+        return tuple(x - sum(y) for x, *y in zip(lam, *(r.fund for r in roots)))
+
+    # only the path along a1 then a2: the bracket [f_a2, f_a1] is that
+    # product, and [f_a1, f_a2] its negative
+    rep = QuiverRep(
+        g, {lam: 1, sub(a1): 1, sub(a1, a2): 1},
+        {(lam, a1): Matrix([["2/3"]]), (sub(a1), a2): Matrix([["3/4"]])},
+    )
+    assert bundle_mod._bracket(rep, lam, a2, a1) == Matrix([["1/2"]])
+    assert bundle_mod._bracket(rep, lam, a1, a2) == Matrix([["-1/2"]])
+    assert bundle_mod._bracket(rep, lam, a1, a3) is None  # no path
+    # both paths of the non-adjacent a1, a3 with equal products over
+    # different denominators: zero
+    square = {lam: 1, sub(a1): 1, sub(a3): 1, sub(a1, a3): 1}
+    rep = QuiverRep(g, square, {
+        (lam, a1): Matrix([["1/2"]]), (sub(a1), a3): Matrix([[6]]),
+        (lam, a3): Matrix([["3/5"]]), (sub(a3), a1): Matrix([[5]]),
+    })
+    assert bundle_mod._bracket(rep, lam, a1, a3) is None
+    assert bundle_mod._bracket(rep, lam, a3, a1) is None
+    # the same square with one product changed: over the lcm 10 of 2 and 5
+    rep = QuiverRep(g, square, {**rep.arrows, (sub(a3), a1): Matrix([[4]])})
+    assert bundle_mod._bracket(rep, lam, a1, a3) == Matrix([["-3/5"]])
+    # a zero product of two nonzero arrows through a 2-dimensional space
+    rep = QuiverRep(
+        g, {lam: 1, sub(a1): 2, sub(a1, a2): 1},
+        {(lam, a1): Matrix([[1], [0]]), (sub(a1), a2): Matrix([[0, "1/3"]])},
+    )
+    assert bundle_mod._bracket(rep, lam, a2, a1) is None
+    assert bundle_mod._bracket(rep, lam, a1, a2) is None

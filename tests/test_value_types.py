@@ -6,6 +6,8 @@ CLI must not pay for importing ``dataclasses`` (and the ``inspect`` it
 imports) on every call.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,20 @@ def test_matrix_is_its_canonical_field_tuple():
         2 * m
     with pytest.raises(TypeError):
         (1,) + m
+
+
+@pytest.mark.parametrize("m", [
+    Matrix([[1, 2]]),
+    Matrix([[Fraction(1, 3), -2], [0, Fraction(5, 6)]]),
+    Matrix([], 0, 3),
+])
+def test_matrix_copies_and_pickles(m):
+    twins = [copy.copy(m), copy.deepcopy(m)] + [
+        pickle.loads(pickle.dumps(m, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in twins:
+        assert type(twin) is Matrix and twin == m and fields(twin) == fields(m)
 
 
 def test_value_type_repr_names_its_fields():
